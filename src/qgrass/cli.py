@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from itertools import permutations
 
 from .errors import QGrassError
 from .niltl import verify_relations
@@ -30,9 +28,9 @@ from .schur import lr_coefficient, toric_schur_expand
 from .symmetry import (
     check_strange_duality_pair,
     dmin_dmax,
-    gw_triple,
-    hidden_symmetry_check,
+    hidden_symmetry_sweep,
     q_power_set,
+    s3_symmetry_sweep,
     strange_duality,
 )
 from .tableaux import quantum_kostka
@@ -107,6 +105,11 @@ def _cmd_gw(args) -> int:
             "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
             "values": rows,
         })
+    elif not rows:
+        print(
+            f"no feasible degree: |mu| + |nu| - |lambda| = {mu.size + nu.size - lam.size}"
+            f" is not a nonnegative multiple of n = {ctx.n}"
+        )
     else:
         for row in rows:
             detail = " ".join(f"{key}={row[key]}" for key in row if key != "d")
@@ -189,11 +192,13 @@ def _feasible_degrees(ctx, total: int) -> list[int]:
     return degrees
 
 
-def _check_backends(ctx, jobs: int) -> bool:
+def _basis_pairs(ctx) -> list[tuple]:
     basis = enumerate_pkn(ctx)
+    return [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
 
-    def pair_ok(pair) -> bool:
-        mu, nu = pair
+
+def _check_backends(ctx) -> bool:
+    def pair_ok(mu, nu) -> bool:
         for d in _feasible_degrees(ctx, mu.size + nu.size):
             for lam in box_partitions_by_size(ctx, mu.size + nu.size - d * ctx.n):
                 values = [gw_invariant(mu, nu, lam, d, ctx, b) for b in BACKENDS]
@@ -201,105 +206,58 @@ def _check_backends(ctx, jobs: int) -> bool:
                     return False
         return True
 
-    pairs = [(mu, nu) for i, mu in enumerate(basis) for nu in basis[i:]]
-    return _all_ok(pair_ok, pairs, jobs)
+    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
 
 
-def _check_s3(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-
-    def triple_ok(triple) -> bool:
-        base = gw_triple(*triple, ctx)
-        return all(
-            gw_triple(*perm, ctx) == base for perm in permutations(triple)
-        )
-
-    triples = [
-        (a, b, c)
-        for i, a in enumerate(basis)
-        for j, b in enumerate(basis[i:], start=i)
-        for c in basis[j:]
-    ]
-    return _all_ok(triple_ok, triples, jobs)
+def _check_s3(ctx) -> bool:
+    return s3_symmetry_sweep(ctx) is None
 
 
-def _check_hidden(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-
-    def triple_ok(triple) -> bool:
-        lam, mu, nu = triple
-        return all(
-            hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
-            for a in range(ctx.n)
-            for b in range(ctx.n)
-        )
-
-    triples = [(a, b, c) for a in basis for b in basis for c in basis]
-    return _all_ok(triple_ok, triples, jobs)
+def _check_hidden(ctx) -> bool:
+    return hidden_symmetry_sweep(ctx) is None
 
 
-def _check_strange(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
-    return _all_ok(lambda p: check_strange_duality_pair(*p, ctx), pairs, jobs)
+def _check_strange(ctx) -> bool:
+    return all(check_strange_duality_pair(*pair, ctx) for pair in _basis_pairs(ctx))
 
 
-def _check_dtilde(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-
-    def pair_ok(pair) -> bool:
-        a, b = (schubert_class(p, ctx) for p in pair)
+def _check_dtilde(ctx) -> bool:
+    def pair_ok(lam, mu) -> bool:
+        a, b = schubert_class(lam, ctx), schubert_class(mu, ctx)
         return strange_duality(quantum_product(a, b)) == quantum_product(
             strange_duality(a), strange_duality(b)
         )
 
-    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
-    return _all_ok(pair_ok, pairs, jobs)
+    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
 
 
-def _check_intervals(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-
-    def pair_ok(pair) -> bool:
+def _check_intervals(ctx) -> bool:
+    def pair_ok(lam, mu) -> bool:
         try:
-            interval = dmin_dmax(*pair, ctx)
+            interval = dmin_dmax(lam, mu, ctx)
         except QGrassError:
             return False
-        powers = q_power_set(*pair, ctx)
+        powers = q_power_set(lam, mu, ctx)
         return bool(powers) and powers == set(interval.members())
 
-    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
-    return _all_ok(pair_ok, pairs, jobs)
+    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
 
 
-def _check_classical(ctx, jobs: int) -> bool:
-    basis = enumerate_pkn(ctx)
-
-    def pair_ok(pair) -> bool:
-        lam, mu = pair
+def _check_classical(ctx) -> bool:
+    def pair_ok(lam, mu) -> bool:
         product = quantum_product(schubert_class(lam, ctx), schubert_class(mu, ctx))
         for nu in box_partitions_by_size(ctx, lam.size + mu.size):
             if product.coefficient(nu, 0) != lr_coefficient(lam, mu, nu):
                 return False
         return all(c >= 0 for c in product.terms.values())
 
-    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
-    return _all_ok(pair_ok, pairs, jobs)
+    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
 
 
-def _check_giambelli(ctx, jobs: int) -> bool:
-    return _all_ok(
-        lambda lam: giambelli_class(lam, ctx) == schubert_class(lam, ctx),
-        enumerate_pkn(ctx),
-        jobs,
+def _check_giambelli(ctx) -> bool:
+    return all(
+        giambelli_class(lam, ctx) == schubert_class(lam, ctx) for lam in enumerate_pkn(ctx)
     )
-
-
-def _all_ok(fn, items, jobs: int) -> bool:
-    if jobs <= 1:
-        return all(fn(item) for item in items)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return all(pool.map(fn, items))
 
 
 def _cmd_verify(args) -> int:
@@ -332,7 +290,7 @@ def _cmd_verify(args) -> int:
     elif args.scope in suites:
         selected.extend(suites[args.scope])
     for name, fn in selected:
-        ok = fn(ctx, args.jobs)
+        ok = fn(ctx)
         report.append({"check": name, "status": "pass" if ok else "fail"})
     failed = any(entry["status"] != "pass" for entry in report)
     if args.format == "json":
@@ -386,7 +344,6 @@ def build_parser() -> _Parser:
         default="all",
     )
     sub.add_argument("--cap", type=int, default=500)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(func=_cmd_verify)
     return parser
 

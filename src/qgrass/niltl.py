@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, QGrassError
-from .partitions import GrassContext, Partition, enumerate_pkn, to_word01
+from .partitions import GrassContext, Partition, _bits_to_parts, _word_bits, basis_table
 
 
 class LaurentPoly:
@@ -106,16 +106,6 @@ _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-@lru_cache(maxsize=None)
-def _basis(ctx: GrassContext) -> tuple[Partition, ...]:
-    return tuple(enumerate_pkn(ctx))
-
-
-@lru_cache(maxsize=None)
-def _basis_index(ctx: GrassContext) -> dict[tuple[int, ...], int]:
-    return {lam.parts: i for i, lam in enumerate(_basis(ctx))}
-
-
 class NilTLOperator:
     """Square Laurent-polynomial matrix over the box-partition basis.
 
@@ -144,13 +134,15 @@ class NilTLOperator:
         return self.rows[i].get(j, _ZERO)
 
     def entry_by_partition(self, row: Partition, col: Partition) -> LaurentPoly:
-        index = _basis_index(self.ctx)
+        index = basis_table(self.ctx).index
         return self.entry(index[row.parts], index[col.parts])
 
     def column(self, mu: Partition) -> dict[Partition, LaurentPoly]:
-        j = _basis_index(self.ctx)[mu.parts]
-        basis = _basis(self.ctx)
-        return {basis[i]: row[j] for i, row in enumerate(self.rows) if j in row}
+        table = basis_table(self.ctx)
+        j = table.index[mu.parts]
+        return {
+            Partition(table.parts[i]): row[j] for i, row in enumerate(self.rows) if j in row
+        }
 
     def __matmul__(self, other: "NilTLOperator") -> "NilTLOperator":
         rows: list[dict[int, LaurentPoly]] = []
@@ -209,22 +201,16 @@ def generator_op(i: int, ctx: GrassContext) -> NilTLOperator:
     """
     if not 1 <= i <= ctx.n:
         raise IndexOutOfRange(f"generator index {i} outside 1..{ctx.n}")
-    index = _basis_index(ctx)
+    table = basis_table(ctx)
     rows: list[dict[int, LaurentPoly]] = [{} for _ in range(ctx.num_classes)]
     src = i - 1
     dst = i % ctx.n
     poly = LaurentPoly.q_power(1) if i == ctx.n else _ONE
-    for lam, col in index.items():
-        bits = list(to_word01(Partition(lam), ctx).bits)
+    for col, lam in enumerate(table.parts):
+        bits = list(_word_bits(lam, ctx.k, ctx.n))
         if bits[src] == 1 and bits[dst] == 0:
             bits[src], bits[dst] = 0, 1
-            ones = [pos for pos, b in enumerate(bits, start=1) if b]
-            parts = [0] * ctx.k
-            for j, pos in enumerate(ones, start=1):
-                parts[ctx.k - j] = pos - j
-            while parts and parts[-1] == 0:
-                parts.pop()
-            rows[index[tuple(parts)]][col] = poly
+            rows[table.index[_bits_to_parts(bits, ctx.k)]][col] = poly
     return NilTLOperator(ctx, rows)
 
 

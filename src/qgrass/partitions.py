@@ -251,6 +251,44 @@ def enumerate_pkn(ctx: GrassContext) -> list[Partition]:
     return [Partition(t) for t in _box_partitions(ctx.k, ctx.cols)]
 
 
+@dataclass(frozen=True, eq=False)
+class BasisTable:
+    """The box partitions of one context as indices 0..N-1, in enumerate_pkn order.
+
+    Kernels that sweep the whole basis run on these integers; the
+    statistics of each index are computed once, from the boundary words.
+    """
+
+    parts: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    size: tuple[int, ...]
+    complement: tuple[int, ...]
+    # shift[i][a]: index of the word of i rotated left by a, for a in 0..n-1.
+    shift: tuple[tuple[int, ...], ...]
+    # phi[i][r]: up steps among the first r steps of the word of i, r in 0..n.
+    phi: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def basis_table(ctx: GrassContext) -> BasisTable:
+    """The integer-indexed basis of ctx, built once per (k, n)."""
+    k, n = ctx.k, ctx.n
+    parts = _box_partitions(k, ctx.cols)
+    index = {p: i for i, p in enumerate(parts)}
+    words = [_word_bits(p, k, n) for p in parts]
+    return BasisTable(
+        parts=parts,
+        index=index,
+        size=tuple(sum(p) for p in parts),
+        complement=tuple(index[_bits_to_parts(w[::-1], k)] for w in words),
+        shift=tuple(
+            tuple(index[_bits_to_parts(w[a:] + w[:a], k)] for a in range(n))
+            for w in words
+        ),
+        phi=tuple(_phi_table(p, k, n) for p in parts),
+    )
+
+
 @lru_cache(maxsize=None)
 def _box_partitions_of_size(k: int, cols: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t for t in _box_partitions(k, cols) if sum(t) == m)

@@ -1,5 +1,6 @@
 import json
 
+from qgrass import symmetry
 from qgrass.cli import main
 
 
@@ -109,6 +110,17 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1 and "cap" in err
 
 
+def test_gw_no_feasible_degree(capsys):
+    argv = ("gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1", "--nu", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == (
+        "no feasible degree: |mu| + |nu| - |lambda| = 1 is not a nonnegative multiple of n = 4"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["values"] == []
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "all")
     assert code == 0
@@ -128,5 +140,27 @@ def test_verify_subcommand(capsys):
 
 
 def test_verify_with_jobs(capsys):
-    code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "backends", "--jobs", "2")
-    assert code == 0 and "PASS" in out
+    # verify has no --jobs option, so argparse rejects it as a usage error.
+    code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "backends", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert "usage:" in err and "unrecognized arguments: --jobs 2" in err
+
+
+def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
+    # sigma_1 * sigma_1 = sigma_2 + sigma_11 in Gr(2,4); report 2 for sigma_11.
+    real = symmetry._basis_qprod
+
+    def corrupted(ctx, a, b):
+        prod = real(ctx, a, b)
+        if (a, b) == ((1,), (1,)):
+            prod = {**prod, ((1, 1), 0): prod[((1, 1), 0)] + 1}
+        return prod
+
+    argv = ("verify", "--k", "2", "--n", "4", "--scope", "symmetries")
+    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "FAIL hidden_cyclic_symmetry" in out.splitlines()
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()

@@ -21,6 +21,7 @@ from qgrass import (
     phi,
     to_word01,
 )
+from qgrass.partitions import basis_table
 
 CTX = GrassContext(4, 10)
 FIG1 = Partition((6, 4, 4, 2))
@@ -149,3 +150,18 @@ def test_phi_of_shift():
                 shifted = cyclic_shift(lam, ctx, a)
                 for i in range(-3, ctx.n + 3):
                     assert phi(shifted, ctx, i) == phi(lam, ctx, i + a) - phi(lam, ctx, a)
+
+
+def test_basis_table_matches_partition_functions():
+    for ctx in small_contexts():
+        table = basis_table(ctx)
+        basis = enumerate_pkn(ctx)
+        assert [Partition(p) for p in table.parts] == basis
+        for i, lam in enumerate(basis):
+            assert table.index[lam.parts] == i
+            assert table.size[i] == lam.size
+            assert table.parts[table.complement[i]] == complement(lam, ctx).parts
+            assert [table.parts[j] for j in table.shift[i]] == [
+                cyclic_shift(lam, ctx, a).parts for a in range(ctx.n)
+            ]
+            assert list(table.phi[i]) == [phi(lam, ctx, r) for r in range(ctx.n + 1)]

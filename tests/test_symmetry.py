@@ -27,6 +27,8 @@ from qgrass import (
     strange_duality,
     unit_class,
 )
+from qgrass import symmetry
+from qgrass.symmetry import hidden_symmetry_sweep, s3_symmetry_sweep
 
 C24 = GrassContext(2, 4)
 FIG5 = (GrassContext(6, 16), Partition((9, 6, 6, 4, 3)), Partition((9, 8, 8, 7, 6, 4)))
@@ -209,6 +211,8 @@ def test_hidden_symmetry():
                 for a in range(ctx.n):
                     for b in range(ctx.n):
                         assert hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
+    for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
+        assert hidden_symmetry_sweep(ctx) is None
 
 
 def test_s3_symmetry():
@@ -220,6 +224,27 @@ def test_s3_symmetry():
                 value = gw_triple(lam, mu, nu, ctx)
                 for p in permutations((lam, mu, nu)):
                     assert gw_triple(*p, ctx) == value
+    for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
+        assert s3_symmetry_sweep(ctx) is None
+
+
+def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
+    # One wrong coefficient, read by the sweeps and by gw_triple alike.
+    ctx = GrassContext(2, 5)
+    real = symmetry._basis_qprod
+
+    def corrupted(c, a, b):
+        prod = real(c, a, b)
+        if {a, b} == {(1,), (2,)}:
+            prod = {**prod, ((2, 1), 0): prod[((2, 1), 0)] + 1}
+        return prod
+
+    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    *triple, a, b = hidden_symmetry_sweep(ctx)
+    lam, mu, nu = (Partition(p) for p in triple)
+    assert not hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
+    triple = [Partition(p) for p in s3_symmetry_sweep(ctx)]
+    assert len({gw_triple(*p, ctx) for p in permutations(triple)}) > 1
 
 
 def test_strange_duality_transport():
