@@ -29,6 +29,7 @@ from .errors import (
     FormMismatch,
     IndexOutOfRange,
     NegativePart,
+    NonIntegerPart,
     NotContained,
     NotToric,
     NotWeaklyDecreasing,

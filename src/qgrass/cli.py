@@ -15,6 +15,7 @@ from .partitions import (
     GrassContext,
     box_partitions_by_size,
     enumerate_pkn,
+    format_terms,
     parse_partition,
 )
 from .quantum import (
@@ -36,6 +37,8 @@ from .symmetry import (
 from .tableaux import quantum_kostka
 
 BACKENDS = ("bcf", "toric", "niltl")
+# toric-schur sums over all nvars! permutations: 8 takes seconds, 9 about 30 s.
+MAX_NVARS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +124,10 @@ def _cmd_toric_schur(args) -> int:
     ctx = _context(args)
     if args.d is None or args.d < 0:
         raise QGrassError("toric-schur requires --d >= 0")
+    if not 0 <= args.nvars <= MAX_NVARS:
+        raise QGrassError(
+            f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}"
+        )
     expansion = toric_schur_expand(args.lam, args.d, args.mu, ctx, args.nvars)
     if args.format == "json":
         _emit_json(expansion.to_json_dict())
@@ -174,13 +181,7 @@ def _cmd_reduce(args) -> int:
             "sign": red.sign,
         })
     else:
-        if red.vanished:
-            print("0")
-        else:
-            q = "" if red.d == 0 else "q" if red.d == 1 else f"q^{red.d}"
-            body = f"s[{','.join(str(p) for p in red.core.parts)}]" if red.core.parts else ""
-            text = "*".join(x for x in (q, body) if x) or "1"
-            print(("-" if red.sign < 0 else "") + text)
+        print(format_terms([] if red.vanished else [(red.sign, red.d, red.core.parts)]))
     return 0
 
 

@@ -13,6 +13,10 @@ class NegativePart(QGrassError):
     """Parts of a partition must be nonnegative."""
 
 
+class NonIntegerPart(QGrassError):
+    """Parts of a partition must be of type int."""
+
+
 class DoesNotFitBox(QGrassError):
     """Partition does not fit inside the k x (n-k) box of the context."""
 

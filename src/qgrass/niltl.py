@@ -19,7 +19,14 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, QGrassError
-from .partitions import GrassContext, Partition, _bits_to_parts, _word_bits, basis_table
+from .partitions import (
+    GrassContext,
+    Partition,
+    _bits_to_parts,
+    _word_bits,
+    basis_table,
+    format_terms,
+)
 
 
 class LaurentPoly:
@@ -85,19 +92,7 @@ class LaurentPoly:
         return hash(tuple(sorted(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = ""
-        for e, c in sorted(self.terms.items()):
-            body = "" if e == 0 else "q" if e == 1 else f"q^{e}"
-            mag = abs(c)
-            head = "" if (mag == 1 and body) else str(mag)
-            text = "*".join(x for x in (head, body) if x)
-            if not out:
-                out = ("-" if c < 0 else "") + text
-            else:
-                out += (" - " if c < 0 else " + ") + text
-        return out
+        return format_terms((c, e, ()) for e, c in sorted(self.terms.items()))
 
     __repr__ = __str__
 

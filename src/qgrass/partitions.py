@@ -16,6 +16,7 @@ from .errors import (
     DoesNotFitBox,
     IndexOutOfRange,
     NegativePart,
+    NonIntegerPart,
     NotWeaklyDecreasing,
     QGrassError,
 )
@@ -29,10 +30,15 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
+        parts = tuple(parts)
+        prev = parts[0] if parts else 0
+        for p in parts:
+            # type(), not isinstance(): bool is an int subclass and is refused.
+            if type(p) is not int:
+                raise NonIntegerPart(f"parts {parts} contain the non-integer {p!r}")
+            if p > prev:
                 raise NotWeaklyDecreasing(f"parts {parts} are not weakly decreasing")
+            prev = p
         if parts and parts[-1] < 0:
             raise NegativePart(f"parts {parts} contain a negative entry")
         while parts and parts[-1] == 0:
@@ -137,6 +143,30 @@ def parse_partition(text: str) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Inverse of parse_partition."""
     return ",".join(str(p) for p in lam.parts) if lam.parts else "0"
+
+
+def format_terms(terms: Iterable[tuple[int, int, tuple[int, ...]]]) -> str:
+    """Text of a sum of terms c * q^d * s[parts], given as (c, d, parts), in order.
+
+    A factor q^0 or s[] is left out, and so is a coefficient of magnitude 1
+    unless it stands alone; the empty sum is "0".
+    """
+    chunks = []
+    for c, d, parts in terms:
+        factors = []
+        if d:
+            factors.append("q" if d == 1 else f"q^{d}")
+        if parts:
+            factors.append(f"s[{','.join(str(p) for p in parts)}]")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        text = "*".join(factors)
+        if chunks:
+            text = ("- " if c < 0 else "+ ") + text
+        elif c < 0:
+            text = "-" + text
+        chunks.append(text)
+    return " ".join(chunks) or "0"
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .cylindric import CylindricLoop
 from .errors import ContextMismatch, IndexOutOfRange, QGrassError, TooManyRows
-from .partitions import GrassContext, Partition, graded_key
+from .partitions import GrassContext, Partition, format_terms, graded_key
 from .schur import _mult_basis_canonical, toric_gw_table
 from .tableaux import strip_successors
 
@@ -109,20 +109,7 @@ class QuantumClass:
         }
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (lam, d), c in self.sorted_terms():
-            body = f"s[{','.join(str(p) for p in lam.parts)}]" if lam.parts else ""
-            q = "" if d == 0 else "q" if d == 1 else f"q^{d}"
-            mag = abs(c)
-            head = "" if (mag == 1 and (body or q)) else str(mag)
-            text = "*".join(x for x in (head, q, body) if x)
-            if not chunks:
-                chunks.append(("-" if c < 0 else "") + text)
-            else:
-                chunks.append(("- " if c < 0 else "+ ") + text)
-        return " ".join(chunks)
+        return format_terms((c, d, lam.parts) for (lam, d), c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"QuantumClass({self.ctx.k},{self.ctx.n}; {self})"

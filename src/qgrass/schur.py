@@ -4,9 +4,9 @@ Two independent code paths compute the same structure constants:
 
 * ``lr_coefficient`` enumerates lattice-word skew tableaux one coefficient
   at a time; it is the auditable reference rule.
-* products expand a whole row of coefficients at once by growing the first
-  factor through horizontal strips of the second, with the ballot condition
-  enforced between consecutive strips.
+* products expand a whole row of coefficients at once by growing the larger
+  factor through horizontal strips of the smaller one, with the ballot
+  condition enforced between consecutive strips.
 
 The test suite checks the two against each other exhaustively on small
 inputs; the product path is the one fast enough for large boxes.
@@ -21,7 +21,13 @@ from typing import Mapping
 
 from .cylindric import EMPTY, make_shape
 from .errors import NotContained, VarMismatch
-from .partitions import GrassContext, Partition, box_partitions_by_size, graded_key
+from .partitions import (
+    GrassContext,
+    Partition,
+    box_partitions_by_size,
+    format_terms,
+    graded_key,
+)
 from .tableaux import quantum_kostka
 
 
@@ -64,19 +70,7 @@ class SchurExpansion:
         }
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for nu, c in self.sorted_terms():
-            body = f"s[{','.join(str(p) for p in nu.parts)}]" if nu.parts else ""
-            mag = abs(c)
-            head = "" if (mag == 1 and body) else str(mag)
-            text = "*".join(x for x in (head, body) if x)
-            if not chunks:
-                chunks.append(("-" if c < 0 else "") + text)
-            else:
-                chunks.append(("- " if c < 0 else "+ ") + text)
-        return " ".join(chunks)
+        return format_terms((c, 0, nu.parts) for nu, c in self.sorted_terms())
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -152,8 +146,19 @@ def _mult_basis(
     Grows lam by horizontal strips of sizes mu_1, mu_2, ... subject to the
     ballot condition between consecutive strips; each completed chain is one
     lattice-word tableau, so the leaf count at nu equals the coefficient.
+
+    The chains are enumerated by an odometer over the (strip i, row j)
+    positions, without recursion.  Each position gets its range of added
+    cells directly, as in the strip growth of Buch's lrcalc: at most the
+    cells left in the strip, the room under the old row above and the
+    ballot slack; at least what the rows below cannot hold under their old
+    rows.  So the last row of a strip is forced, and a position left with an
+    empty range (by the ballot slack, or a strip longer than the rows it may
+    enter) backs up at once.
     """
-    if len(lam) > cap:
+    m = len(mu)
+    # nu contains both factors, so neither may have more than cap rows.
+    if len(lam) > cap or m > cap:
         return {}
     key = (lam, mu, cap)
     cached = _MULT_CACHE.get(key)
@@ -162,38 +167,65 @@ def _mult_basis(
 
     out: dict[tuple[int, ...], int] = {}
     p = list(lam) + [0] * (cap - len(lam))
-
-    def place_strip(i: int, prev_cum: tuple[int, ...] | None) -> None:
-        if i == len(mu):
+    last = cap - 1
+    # The ballot condition keeps strip i out of the rows above row i.
+    pos_i = [i for i in range(m) for _ in range(i, cap)]
+    pos_j = [j for i in range(m) for j in range(i, cap)]
+    end = len(pos_i)
+    least = [0] * end
+    chosen = [0] * end
+    # base[i]: the shape before strip i, taken when strip i starts;
+    # cum[i][j]: cells of strip i in rows < j.
+    base = [p] * m
+    cum = [[0] * (cap + 1) for _ in range(m)]
+    t = 0
+    while True:
+        if t < end:
+            i = pos_i[t]
+            j = pos_j[t]
+            if j == i:
+                b = base[i] = p[:]
+            else:
+                b = base[i]
+            placed = cum[i][j]
+            budget = mu[i] - placed
+            a = budget
+            if j:
+                room = b[j - 1] - b[j]
+                if room < a:
+                    a = room
+            if i:
+                slack = cum[i - 1][j] - placed
+                if slack < a:
+                    a = slack
+            low = budget - b[j] + b[last]
+            if low < 0:
+                low = 0
+            if a >= low:
+                least[t] = low
+                chosen[t] = a
+                p[j] = b[j] + a
+                cum[i][j + 1] = placed + a
+                t += 1
+                continue
+        else:
             nu = tuple(p)
             while nu and nu[-1] == 0:
                 nu = nu[:-1]
             out[nu] = out.get(nu, 0) + 1
-            return
-        size = mu[i]
-        old = p[:]
-        cur = [0] * (cap + 1)
-
-        def fill_row(r: int, placed: int) -> None:
-            if r > cap:
-                if placed == size:
-                    place_strip(i + 1, tuple(cur))
-                return
-            budget = size - placed
-            a_max = budget
-            if r >= 2:
-                a_max = min(a_max, old[r - 2] - old[r - 1])
-            if prev_cum is not None:
-                a_max = min(a_max, prev_cum[r - 1] - cur[r - 1])
-            for a in range(a_max + 1):
-                p[r - 1] = old[r - 1] + a
-                cur[r] = cur[r - 1] + a
-                fill_row(r + 1, placed + a)
-            p[r - 1] = old[r - 1]
-
-        fill_row(1, 0)
-
-    place_strip(0, None)
+        # Back up to the latest position that can still take one cell less.
+        t -= 1
+        while t >= 0 and chosen[t] == least[t]:
+            p[pos_j[t]] = base[pos_i[t]][pos_j[t]]
+            t -= 1
+        if t < 0:
+            break
+        i = pos_i[t]
+        j = pos_j[t]
+        a = chosen[t] = chosen[t] - 1
+        p[j] = base[i][j] + a
+        cum[i][j + 1] = cum[i][j] + a
+        t += 1
     _MULT_CACHE[key] = out
     return out
 
@@ -201,8 +233,9 @@ def _mult_basis(
 def _mult_basis_canonical(
     a: tuple[int, ...], b: tuple[int, ...], cap: int
 ) -> dict[tuple[int, ...], int]:
-    # The product is symmetric; keep one cache entry per unordered pair.
-    if (len(b), sum(b), b) < (len(a), sum(a), a):
+    # The product is symmetric; keep one cache entry per unordered pair and
+    # let the factor with fewer cells supply the strips.
+    if (sum(a), len(a), a) < (sum(b), len(b), b):
         a, b = b, a
     return _mult_basis(a, b, cap)
 

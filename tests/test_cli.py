@@ -47,6 +47,16 @@ def test_toric_schur_golden(capsys):
     ]
 
 
+def test_toric_schur_nvars_bounds(capsys):
+    argv = ("toric-schur", "--k", "1", "--n", "3", "--lambda", "0", "--d", "1", "--mu", "0")
+    for nvars in ("-1", "9"):
+        code, out, err = run(capsys, *argv, "--nvars", nvars)
+        assert code == 1 and out == ""
+        assert f"0 <= --nvars <= 8, got {nvars}" in err
+    code, out, _ = run(capsys, *argv, "--nvars", "0")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_qpowers_golden(capsys):
     code, out, _ = run(
         capsys, "qpowers", "--k", "6", "--n", "16",

@@ -7,6 +7,7 @@ from qgrass import (
     GrassContext,
     IndexOutOfRange,
     NegativePart,
+    NonIntegerPart,
     NotWeaklyDecreasing,
     Partition,
     complement,
@@ -21,7 +22,7 @@ from qgrass import (
     phi,
     to_word01,
 )
-from qgrass.partitions import basis_table
+from qgrass.partitions import basis_table, format_terms
 
 CTX = GrassContext(4, 10)
 FIG1 = Partition((6, 4, 4, 2))
@@ -47,12 +48,26 @@ def test_make_partition():
         make_partition((2, -1))
 
 
+@pytest.mark.parametrize("parts", [(2.7, 1), (True,), (2, 1.0), ("2",)])
+def test_non_integer_parts_are_rejected(parts):
+    with pytest.raises(NonIntegerPart):
+        Partition(parts)
+
+
 def test_text_format_round_trip():
     assert parse_partition("6,4,4,2") == FIG1
     assert parse_partition("") == Partition()
     assert parse_partition("0") == Partition()
     assert format_partition(FIG1) == "6,4,4,2"
     assert format_partition(Partition()) == "0"
+
+
+def test_format_terms():
+    assert format_terms([]) == "0"
+    assert format_terms([(1, 0, ())]) == "1"
+    assert format_terms([(-1, 0, ())]) == "-1"
+    assert format_terms([(-2, 1, (2, 1))]) == "-2*q*s[2,1]"
+    assert format_terms([(1, 0, (1,)), (-1, 2, ()), (3, -1, (2,))]) == "s[1] - q^2 + 3*q^-1*s[2]"
 
 
 def test_word01_figure_values():

@@ -17,7 +17,7 @@ from qgrass import (
     skew_expand,
     toric_schur_expand,
 )
-from qgrass.schur import _mult_basis_canonical
+from qgrass.schur import _lr_count, _mult_basis, _mult_basis_canonical, _partitions_into
 
 
 def expansion(nvars, *pairs):
@@ -37,25 +37,36 @@ def test_lr_coefficient_small_values():
     assert lr_coefficient(Partition((2,)), one, Partition((1, 1, 1))) == 0
 
 
+def _lr_row(lam, mu):
+    """The nonzero _lr_count values over every nu of |lam| + |mu| cells."""
+    total = sum(lam) + sum(mu)
+    width = (lam[0] if lam else 0) + (mu[0] if mu else 0)
+    row = {}
+    for nu in _partitions_into(total, len(lam) + len(mu), width):
+        c = _lr_count(lam, mu, nu)
+        if c:
+            row[nu] = c
+    return row
+
+
 def test_product_matches_lr_oracle_exhaustively():
-    for parts_bound, rows in ((3, 3),):
-        partitions = [
-            Partition(p)
-            for p in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 2, 1)]
-        ]
-        for lam in partitions:
-            for mu in partitions:
-                table = _mult_basis_canonical(lam.parts, mu.parts, 4)
-                total = lam.size + mu.size
-                seen = set()
-                for nu_parts, coeff in table.items():
-                    nu = Partition(nu_parts)
-                    assert coeff == lr_coefficient(lam, mu, nu), (lam, mu, nu)
-                    seen.add(nu)
-                # zero coefficients are genuinely zero
-                for extra in partitions:
-                    if extra.size == total and len(extra) <= 4 and extra not in seen:
-                        assert lr_coefficient(lam, mu, extra) == 0
+    # Every ordered pair of box partitions, the empty one included, for caps
+    # below, at and above the row counts; cap = len(lam) + len(mu) never binds.
+    for k, n in ((3, 6), (3, 7)):
+        basis = [p.parts for p in enumerate_pkn(GrassContext(k, n))]
+        for lam in basis:
+            for mu in basis:
+                row = _lr_row(lam, mu)
+                for cap in set(range(k + 2)) | {len(lam) + len(mu)}:
+                    got = _mult_basis_canonical(lam, mu, cap)
+                    assert got == {nu: c for nu, c in row.items() if len(nu) <= cap}, (
+                        lam, mu, cap,
+                    )
+                    # either factor may give the strips
+                    assert _mult_basis(lam, mu, cap) == got == _mult_basis(mu, lam, cap)
+    assert _mult_basis_canonical((2, 1), (1,), 0) == {}
+    assert _mult_basis_canonical((), (), 0) == {(): 1}
+    assert _mult_basis_canonical((1, 1, 1), (1,), 2) == {}
 
 
 def test_schur_product_api():
