@@ -37,8 +37,8 @@ from .symmetry import (
 from .tableaux import quantum_kostka
 
 BACKENDS = ("bcf", "toric", "niltl")
-# toric-schur sums over all nvars! permutations: 8 takes seconds, 9 about 30 s.
-MAX_NVARS = 8
+# Bounds toric-schur's work: the coefficient of s_nu runs over up to 2^len(nu) column sets.
+MAX_NVARS = 16
 
 
 class _Parser(argparse.ArgumentParser):

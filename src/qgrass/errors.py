@@ -34,7 +34,7 @@ class NotContained(QGrassError):
 
 
 class VarMismatch(QGrassError):
-    """Schur expansions must live in the same number of variables."""
+    """Schur expansions need a number of variables >= 0, the same for both operands."""
 
 
 class NotToric(QGrassError):

@@ -14,6 +14,7 @@ of a shape, entry 1 first.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -25,7 +26,9 @@ from .partitions import (
     _bits_to_parts,
     _word_bits,
     basis_table,
+    conjugate,
     format_terms,
+    masked_det,
 )
 
 
@@ -262,29 +265,6 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
     return eh_op("h", ctx.n - l, ctx) @ eh_op("e", l, ctx)
 
 
-def _det_operator(ctx: GrassContext, sizes, m: int, kind: str) -> NilTLOperator:
-    """Permutation-sum determinant of eh operators, sharing column-set prefixes."""
-    states: dict[int, NilTLOperator] = {0: NilTLOperator.identity(ctx)}
-    for i in range(1, m + 1):
-        nxt: dict[int, NilTLOperator] = {}
-        for mask, op in states.items():
-            for j in range(1, m + 1):
-                bit = 1 << (j - 1)
-                if mask & bit:
-                    continue
-                c = sizes(i, j)
-                if c < 0 or c >= ctx.n:
-                    continue
-                term = op if c == 0 else eh_op(kind, c, ctx) @ op
-                used_above = bin(mask >> j).count("1")
-                if used_above % 2:
-                    term = term.scaled(-1)
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        states = nxt
-    return states.get((1 << m) - 1, NilTLOperator.zero(ctx))
-
-
 @lru_cache(maxsize=None)
 def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOperator:
     """Operator of quantum multiplication by sigma_lam, as a determinant.
@@ -295,13 +275,21 @@ def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOper
     """
     ctx.require_fits(lam)
     if kind == "h":
-        return _det_operator(ctx, lambda i, j: lam.part(i) + j - i, ctx.k, "h")
-    if kind == "e":
-        from .partitions import conjugate
+        rows, m = lam, ctx.k
+    elif kind == "e":
+        rows, m = conjugate(lam), ctx.cols
+    else:
+        raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
 
-        lam_c = conjugate(lam)
-        return _det_operator(ctx, lambda i, j: lam_c.part(i) + j - i, ctx.cols, "e")
-    raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
+    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
+        c = rows.part(i) + j - i
+        if c < 0 or c >= ctx.n:
+            return None
+        term = op if c == 0 else eh_op(kind, c, ctx) @ op
+        return term if sign == 1 else term.scaled(-1)
+
+    det = masked_det(m, NilTLOperator.identity(ctx), entry, operator.add)
+    return NilTLOperator.zero(ctx) if det is None else det
 
 
 def verify_relations(ctx: GrassContext) -> list[dict[str, str]]:

@@ -2,7 +2,8 @@
 
 Everything here is immutable and pure.  Partitions are stored canonically
 (weakly decreasing, no trailing zeros), so they can be used as dict keys
-everywhere else in the package.
+everywhere else in the package.  masked_det is the one determinant kernel
+of the Giambelli, nil-Temperley-Lieb and toric backends.
 """
 
 from __future__ import annotations
@@ -327,3 +328,31 @@ def _box_partitions_of_size(k: int, cols: int, m: int) -> tuple[tuple[int, ...],
 def box_partitions_by_size(ctx: GrassContext, m: int) -> list[Partition]:
     """Box partitions with exactly m cells, in lexicographic order."""
     return [Partition(t) for t in _box_partitions_of_size(ctx.k, ctx.cols, m)]
+
+
+def masked_det(m: int, start, entry, add):
+    """The m x m determinant, sum over w of sgn(w) * a[1, w(1)] * ... * a[m, w(m)].
+
+    Laplace expansion row by row: states[mask] is the signed sum of the
+    partial products whose rows 1..i took the columns in mask, so
+    permutations that share a column set share their prefix.
+    entry(value, i, j, sign) extends a partial product by the entry at
+    (i, j), 1-based, times sign (-1 when an odd number of used columns lie
+    right of j), or returns None for a zero term; add sums two of them.
+    Returns None if every term is zero.
+    """
+    states = {0: start}
+    for i in range(1, m + 1):
+        nxt = {}
+        for mask, value in states.items():
+            for j in range(1, m + 1):
+                bit = 1 << (j - 1)
+                if mask & bit:
+                    continue
+                term = entry(value, i, j, -1 if (mask >> j).bit_count() & 1 else 1)
+                if term is None:
+                    continue
+                key = mask | bit
+                nxt[key] = add(nxt[key], term) if key in nxt else term
+        states = nxt
+    return states.get((1 << m) - 1)

@@ -9,13 +9,14 @@ backends so the test suite can cross-check them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from .cylindric import CylindricLoop
 from .errors import ContextMismatch, IndexOutOfRange, QGrassError, TooManyRows
-from .partitions import GrassContext, Partition, format_terms, graded_key
+from .partitions import GrassContext, Partition, format_terms, graded_key, masked_det
 from .schur import _mult_basis_canonical, toric_gw_table
 from .tableaux import strip_successors
 
@@ -253,31 +254,15 @@ def _class_times_h(f: QuantumClass, c: int, ctx: GrassContext) -> QuantumClass:
 
 
 def giambelli_class(lam: Partition, ctx: GrassContext) -> QuantumClass:
-    """Evaluate det(h_{lam_i + j - i}) in the ring; the result is sigma_lam.
-
-    Laplace expansion row by row, sharing the partial products of
-    permutations that use the same column set.
-    """
+    """Evaluate det(h_{lam_i + j - i}) in the ring; the result is sigma_lam."""
     ctx.require_fits(lam)
-    k = ctx.k
-    states: dict[int, QuantumClass] = {0: unit_class(ctx)}
-    for i in range(1, k + 1):
-        nxt: dict[int, QuantumClass] = {}
-        for mask, cls in states.items():
-            for j in range(1, k + 1):
-                bit = 1 << (j - 1)
-                if mask & bit:
-                    continue
-                term = _class_times_h(cls, lam.part(i) + j - i, ctx)
-                if term.is_zero():
-                    continue
-                used_above = bin(mask >> j).count("1")
-                signed = term.scaled(-1 if used_above % 2 else 1)
-                key = mask | bit
-                nxt[key] = nxt[key] + signed if key in nxt else signed
-        states = nxt
-    full = (1 << k) - 1
-    return states.get(full, QuantumClass(ctx))
+
+    def entry(cls: QuantumClass, i: int, j: int, sign: int) -> QuantumClass | None:
+        term = _class_times_h(cls, lam.part(i) + j - i, ctx)
+        return None if term.is_zero() else term.scaled(sign)
+
+    det = masked_det(ctx.k, unit_class(ctx), entry, operator.add)
+    return QuantumClass(ctx) if det is None else det
 
 
 def gw_invariant(

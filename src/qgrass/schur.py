@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from typing import Mapping
 
 from .cylindric import EMPTY, make_shape
@@ -27,8 +26,9 @@ from .partitions import (
     box_partitions_by_size,
     format_terms,
     graded_key,
+    masked_det,
 )
-from .tableaux import quantum_kostka
+from .tableaux import grow_chains
 
 
 @dataclass(frozen=True)
@@ -282,32 +282,28 @@ def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     return SchurExpansion(nvars, terms)
 
 
-def _perm_sign(w: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-    return -1 if inv % 2 else 1
-
-
-def _signed_offsets(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return tuple(
-        (_perm_sign(w), tuple(w[i] - (i + 1) for i in range(m)))
-        for w in permutations(range(1, m + 1))
-    )
-
-
 def _alternating_kostka_sum(
-    lam: Partition, d: int, mu: Partition, nu_parts: tuple[int, ...], ctx: GrassContext, m: int
+    lam: Partition, d: int, mu: Partition, nu: tuple[int, ...], ctx: GrassContext
 ) -> int:
-    """Coefficient extraction via the signed sum of shifted Kostka counts."""
-    total = 0
-    nu_pad = nu_parts + (0,) * (m - len(nu_parts))
-    for sign, offs in _signed_offsets(m):
-        beta = tuple(nu_pad[i] + offs[i] for i in range(m))
-        if any(b < 0 or b > ctx.cols for b in beta):
-            continue
-        count = quantum_kostka(lam, d, mu, beta, ctx)
-        if count:
-            total += sign * count
-    return total
+    """Sum over w of sgn(w) * K(lam/d/mu, beta_w), beta_w,i = nu_i - i + w(i).
+
+    The determinant of strip-chain DP steps: the entry at (i, j) grows every
+    chain by a horizontal strip of size nu_i - i + j.  In m >= len(nu)
+    variables, a row i > len(nu) has nu_i = 0, so its entries vanish left of
+    the diagonal and are the empty strip on it; only permutations fixing
+    those rows survive, and the len(nu) x len(nu) minor gives the same sum.
+    """
+    def entry(chains, i, j, sign):
+        return grow_chains(chains, nu[i - 1] - i + j, d, ctx.k, ctx.cols, sign) or None
+
+    chains = masked_det(len(nu), {(mu.parts, 0): 1}, entry, _merge_counts)
+    return chains.get((lam.parts, d), 0) if chains else 0
+
+
+def _merge_counts(acc: dict, more: dict) -> dict:
+    for key, c in more.items():
+        acc[key] = acc.get(key, 0) + c
+    return acc
 
 
 def toric_schur_expand(
@@ -319,6 +315,8 @@ def toric_schur_expand(
     constants of the quantum product; for a valid non-toric shape with
     nvars = k the expansion is identically zero.
     """
+    if nvars < 0:
+        raise VarMismatch(f"nvars must be >= 0, got {nvars}")
     ctx.require_fits(lam)
     ctx.require_fits(mu)
     shape = make_shape(lam, d, mu, ctx)
@@ -327,7 +325,7 @@ def toric_schur_expand(
     total = shape.size
     terms: dict[Partition, int] = {}
     for parts in _partitions_into(total, nvars, total):
-        c = _alternating_kostka_sum(lam, d, mu, parts, ctx, nvars)
+        c = _alternating_kostka_sum(lam, d, mu, parts, ctx)
         if c:
             terms[Partition(parts)] = c
     return SchurExpansion(nvars, terms)
@@ -350,7 +348,7 @@ def toric_gw_table(
         size = shape.size
         if 0 <= size <= ctx.k * ctx.cols:
             for nu in box_partitions_by_size(ctx, size):
-                c = _alternating_kostka_sum(lam, d, mu, nu.parts, ctx, ctx.k)
+                c = _alternating_kostka_sum(lam, d, mu, nu.parts, ctx)
                 if c:
                     table[nu.parts] = c
     _GW_TABLE_CACHE[key] = table

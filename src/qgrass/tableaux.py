@@ -172,6 +172,23 @@ class TableauChain:
     weights: tuple[int, ...]
 
 
+def grow_chains(chains: dict, size: int, d: int, k: int, cols: int, sign: int = 1) -> dict:
+    """One step of the strip-chain DP: add a horizontal strip of the given size.
+
+    chains maps a chain's last loop, as (base parts, offset), to a signed
+    count of chains; each count, times sign, passes to every loop one strip
+    above whose offset stays at most d.
+    """
+    out = {}
+    for (base, off), count in chains.items():
+        count *= sign
+        for parts, dinc in _strip_successors_raw(base, k, cols, size, "horizontal"):
+            if off + dinc <= d:
+                key = (parts, off + dinc)
+                out[key] = out.get(key, 0) + count
+    return out
+
+
 def quantum_kostka(
     lam: Partition,
     d: int,
@@ -192,28 +209,10 @@ def quantum_kostka(
     shape = make_shape(lam, d, mu, ctx)
     if shape is EMPTY or sum(beta) != shape.size:
         return 0
-    k, cols = ctx.k, ctx.cols
-    target = (lam.parts, d)
-    memo: dict[tuple, int] = {}
-
-    def count(base: tuple[int, ...], off: int, idx: int) -> int:
-        if idx == len(beta):
-            return 1 if (base, off) == target else 0
-        key = (base, off, idx)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        if beta[idx] == 0:
-            total = count(base, off, idx + 1)
-        else:
-            for parts, dinc in _strip_successors_raw(base, k, cols, beta[idx], "horizontal"):
-                if off + dinc <= d:
-                    total += count(parts, off + dinc, idx + 1)
-        memo[key] = total
-        return total
-
-    return count(mu.parts, 0, 0)
+    chains = {(mu.parts, 0): 1}
+    for size in beta:
+        chains = grow_chains(chains, size, d, ctx.k, ctx.cols)
+    return chains.get((lam.parts, d), 0)
 
 
 def enumerate_tableaux(shape: CylindricShape, max_entry: int) -> Iterator[TableauChain]:

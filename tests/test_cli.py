@@ -49,12 +49,25 @@ def test_toric_schur_golden(capsys):
 
 def test_toric_schur_nvars_bounds(capsys):
     argv = ("toric-schur", "--k", "1", "--n", "3", "--lambda", "0", "--d", "1", "--mu", "0")
-    for nvars in ("-1", "9"):
+    for nvars in ("-1", "17"):
         code, out, err = run(capsys, *argv, "--nvars", nvars)
         assert code == 1 and out == ""
-        assert f"0 <= --nvars <= 8, got {nvars}" in err
+        assert f"0 <= --nvars <= 16, got {nvars}" in err
     code, out, _ = run(capsys, *argv, "--nvars", "0")
     assert code == 0 and out.strip() == "0"
+
+
+def test_toric_schur_ten_variables(capsys):
+    # Past the former bound of 8 that the sum over all nvars! permutations needed.
+    code, out, _ = run(
+        capsys, "toric-schur", "--k", "4", "--n", "8",
+        "--lambda", "2,2", "--d", "1", "--mu", "1", "--nvars", "10",
+    )
+    assert code == 0
+    assert out.strip() == (
+        "s[4,3,3,1] + s[4,3,2,1,1] - s[3,3,2,1,1,1] + s[2,2,2,1,1,1,1,1]"
+        " - s[2,1,1,1,1,1,1,1,1,1]"
+    )
 
 
 def test_qpowers_golden(capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +25,7 @@ from qgrass import (
     phi,
     to_word01,
 )
-from qgrass.partitions import basis_table, format_terms
+from qgrass.partitions import basis_table, format_terms, masked_det
 
 CTX = GrassContext(4, 10)
 FIG1 = Partition((6, 4, 4, 2))
@@ -180,3 +183,47 @@ def test_basis_table_matches_partition_functions():
                 cyclic_shift(lam, ctx, a).parts for a in range(ctx.n)
             ]
             assert list(table.phi[i]) == [phi(lam, ctx, r) for r in range(ctx.n + 1)]
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[r][t] * b[t][c] for t in range(2)) for c in range(2)) for r in range(2)
+    )
+
+
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def test_masked_det_matches_leibniz():
+    # Entries are 2 x 2 integer matrices, so the check also sees that each
+    # term multiplies its entries in row order; about half of them are zero.
+    rng = random.Random(4)
+    zero = ((0, 0), (0, 0))
+    one = ((1, 0), (0, 1))
+    for m in range(6):
+        for _ in range(20):
+            a = [
+                [
+                    zero if rng.random() < 0.5
+                    else tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+                    for _ in range(m)
+                ]
+                for _ in range(m)
+            ]
+            leibniz = zero
+            for w in permutations(range(m)):
+                term = one
+                for i in range(m):
+                    term = _mat_mul(term, a[i][w[i]])
+                inversions = sum(w[x] > w[y] for x in range(m) for y in range(x + 1, m))
+                if inversions % 2:
+                    term = _mat_mul(term, ((-1, 0), (0, -1)))
+                leibniz = _mat_add(leibniz, term)
+
+            def entry(value, i, j, sign):
+                e = a[i - 1][j - 1]
+                return None if e == zero else _mat_mul(value, _mat_mul(e, ((sign, 0), (0, sign))))
+
+            got = masked_det(m, one, entry, _mat_add)
+            assert (zero if got is None else got) == leibniz, (m, a)

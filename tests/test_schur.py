@@ -1,9 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from conftest import poly_multiply, poly_to_schur, schur_monomials
 from qgrass import (
+    EMPTY,
     GrassContext,
     NotContained,
     Partition,
@@ -12,9 +14,12 @@ from qgrass import (
     complement,
     enumerate_pkn,
     gw_invariant,
+    is_toric,
     lr_coefficient,
+    make_shape,
     schur_product,
     skew_expand,
+    quantum_kostka,
     toric_schur_expand,
 )
 from qgrass.schur import _lr_count, _mult_basis, _mult_basis_canonical, _partitions_into
@@ -165,6 +170,52 @@ def test_toric_expand_zero_iff_not_toric():
                         continue
                     expansion = toric_schur_expand(lam, d, mu, ctx, ctx.k)
                     assert expansion.is_zero() == (not is_toric(shape)), (lam, d, mu)
+
+
+def _permutation_sum_expansion(lam, d, mu, ctx, m):
+    """The toric expansion by its definition: sum over all m! permutations w
+    of sgn(w) * K(lam/d/mu, nu - delta + w(delta)), one Kostka count each."""
+    signed = []
+    for w in permutations(range(m)):
+        inversions = sum(w[x] > w[y] for x in range(m) for y in range(x + 1, m))
+        signed.append((-1 if inversions % 2 else 1, w))
+    size = make_shape(lam, d, mu, ctx).size
+    terms = {}
+    for nu in _partitions_into(size, m, size):
+        pad = nu + (0,) * (m - len(nu))
+        total = 0
+        for sign, w in signed:
+            beta = [pad[i] - i + w[i] for i in range(m)]
+            if min(beta) >= 0:
+                total += sign * quantum_kostka(lam, d, mu, beta, ctx)
+        if total:
+            terms[Partition(nu)] = total
+    return terms
+
+
+def test_toric_expand_matches_permutation_sum():
+    # Every toric shape of the three boxes (toric shapes have d <= k), and
+    # every nonempty shape of degree <= k of the two smaller ones, whose
+    # expansions in k variables must cancel to zero term by term.
+    for ctx in (GrassContext(2, 4), GrassContext(2, 5), GrassContext(3, 6)):
+        basis = enumerate_pkn(ctx)
+        for lam in basis:
+            for mu in basis:
+                for d in range(ctx.k + 1):
+                    shape = make_shape(lam, d, mu, ctx)
+                    if shape is EMPTY or (ctx.k == 3 and not is_toric(shape)):
+                        continue
+                    for m in range(ctx.k, ctx.k + 3):
+                        got = toric_schur_expand(lam, d, mu, ctx, m)
+                        assert dict(got.terms) == _permutation_sum_expansion(
+                            lam, d, mu, ctx, m
+                        ), (ctx, lam, d, mu, m)
+
+
+def test_toric_expand_rejects_negative_nvars():
+    for d in (0, 1):
+        with pytest.raises(VarMismatch, match="nvars must be >= 0, got -1"):
+            toric_schur_expand(Partition(), d, Partition(), GrassContext(1, 3), -1)
 
 
 def test_toric_expand_stabilizes_in_nvars():
