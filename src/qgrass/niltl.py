@@ -288,7 +288,8 @@ def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOper
         term = op if c == 0 else eh_op(kind, c, ctx) @ op
         return term if sign == 1 else term.scaled(-1)
 
-    det = masked_det(m, NilTLOperator.identity(ctx), entry, operator.add)
+    first = [i - rows.part(i) for i in range(1, m + 1)]
+    det = masked_det(m, NilTLOperator.identity(ctx), entry, operator.add, first)
     return NilTLOperator.zero(ctx) if det is None else det
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -279,45 +279,68 @@ def _box_partitions(k: int, cols: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:
     """All box partitions in graded lexicographic order (by size, then parts)."""
-    return [Partition(t) for t in _box_partitions(ctx.k, ctx.cols)]
+    table = basis_table(ctx)
+    return [table.partition[t] for t in table.parts]
 
 
-@dataclass(frozen=True, eq=False)
+class _Interned(dict):
+    """parts -> the one Partition of those parts, built on first lookup."""
+
+    def __missing__(self, parts: tuple[int, ...]) -> Partition:
+        lam = self[parts] = Partition(parts)
+        return lam
+
+
 class BasisTable:
     """The box partitions of one context as indices 0..N-1, in enumerate_pkn order.
 
     Kernels that sweep the whole basis run on these integers; the
-    statistics of each index are computed once, from the boundary words.
+    statistics of each index are computed once, from the boundary words,
+    on first use, so a context that is never swept is never enumerated.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
-    size: tuple[int, ...]
-    complement: tuple[int, ...]
-    # shift[i][a]: index of the word of i rotated left by a, for a in 0..n-1.
-    shift: tuple[tuple[int, ...], ...]
-    # phi[i][r]: up steps among the first r steps of the word of i, r in 0..n.
-    phi: tuple[tuple[int, ...], ...]
+    def __init__(self, ctx: GrassContext):
+        self.k, self.n = ctx.k, ctx.n
+        # partition[parts]: the shared, immutable Partition of a box partition,
+        # which products and enumerations hand out instead of new objects.
+        self.partition: dict[tuple[int, ...], Partition] = _Interned()
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        return _box_partitions(self.k, self.n - self.k)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.parts)}
+
+    @cached_property
+    def size(self) -> tuple[int, ...]:
+        return tuple(sum(p) for p in self.parts)
+
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        k, n, index = self.k, self.n, self.index
+        return tuple(index[_bits_to_parts(_word_bits(p, k, n)[::-1], k)] for p in self.parts)
+
+    @cached_property
+    def shift(self) -> tuple[tuple[int, ...], ...]:
+        """shift[i][a]: index of the word of i rotated left by a, for a in 0..n-1."""
+        k, n, index = self.k, self.n, self.index
+        words = [_word_bits(p, k, n) for p in self.parts]
+        return tuple(
+            tuple(index[_bits_to_parts(w[a:] + w[:a], k)] for a in range(n)) for w in words
+        )
+
+    @cached_property
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        """phi[i][r]: up steps among the first r steps of the word of i, r in 0..n."""
+        return tuple(_phi_table(p, self.k, self.n) for p in self.parts)
 
 
 @lru_cache(maxsize=None)
 def basis_table(ctx: GrassContext) -> BasisTable:
-    """The integer-indexed basis of ctx, built once per (k, n)."""
-    k, n = ctx.k, ctx.n
-    parts = _box_partitions(k, ctx.cols)
-    index = {p: i for i, p in enumerate(parts)}
-    words = [_word_bits(p, k, n) for p in parts]
-    return BasisTable(
-        parts=parts,
-        index=index,
-        size=tuple(sum(p) for p in parts),
-        complement=tuple(index[_bits_to_parts(w[::-1], k)] for w in words),
-        shift=tuple(
-            tuple(index[_bits_to_parts(w[a:] + w[:a], k)] for a in range(n))
-            for w in words
-        ),
-        phi=tuple(_phi_table(p, k, n) for p in parts),
-    )
+    """The integer-indexed basis of ctx, one per (k, n)."""
+    return BasisTable(ctx)
 
 
 @lru_cache(maxsize=None)
@@ -327,10 +350,11 @@ def _box_partitions_of_size(k: int, cols: int, m: int) -> tuple[tuple[int, ...],
 
 def box_partitions_by_size(ctx: GrassContext, m: int) -> list[Partition]:
     """Box partitions with exactly m cells, in lexicographic order."""
-    return [Partition(t) for t in _box_partitions_of_size(ctx.k, ctx.cols, m)]
+    interned = basis_table(ctx).partition
+    return [interned[t] for t in _box_partitions_of_size(ctx.k, ctx.cols, m)]
 
 
-def masked_det(m: int, start, entry, add):
+def masked_det(m: int, start, entry, add, first: Sequence[int]):
     """The m x m determinant, sum over w of sgn(w) * a[1, w(1)] * ... * a[m, w(m)].
 
     Laplace expansion row by row: states[mask] is the signed sum of the
@@ -339,20 +363,31 @@ def masked_det(m: int, start, entry, add):
     entry(value, i, j, sign) extends a partial product by the entry at
     (i, j), 1-based, times sign (-1 when an odd number of used columns lie
     right of j), or returns None for a zero term; add sums two of them.
+    The entries of row i left of column first[i - 1] are zero and are never
+    asked for.  So no row below i can take a column left of all their
+    firsts, and a column set of rows 1..i that leaves one free is dropped.
     Returns None if every term is zero.
     """
+    # needed[i]: the columns that rows 1..i must have used between them.
+    needed = [0] * (m + 1)
+    low = m + 1
+    for i in range(m, 0, -1):
+        needed[i] = (1 << (low - 1)) - 1
+        low = max(1, min(low, first[i - 1]))
     states = {0: start}
     for i in range(1, m + 1):
         nxt = {}
+        need = needed[i]
+        lo = max(1, first[i - 1])
         for mask, value in states.items():
-            for j in range(1, m + 1):
+            for j in range(lo, m + 1):
                 bit = 1 << (j - 1)
-                if mask & bit:
+                key = mask | bit
+                if mask & bit or (key & need) != need:
                     continue
                 term = entry(value, i, j, -1 if (mask >> j).bit_count() & 1 else 1)
                 if term is None:
                     continue
-                key = mask | bit
                 nxt[key] = add(nxt[key], term) if key in nxt else term
         states = nxt
     return states.get((1 << m) - 1)

@@ -16,7 +16,14 @@ from typing import Mapping
 
 from .cylindric import CylindricLoop
 from .errors import ContextMismatch, IndexOutOfRange, QGrassError, TooManyRows
-from .partitions import GrassContext, Partition, format_terms, graded_key, masked_det
+from .partitions import (
+    GrassContext,
+    Partition,
+    basis_table,
+    format_terms,
+    graded_key,
+    masked_det,
+)
 from .schur import _mult_basis_canonical, toric_gw_table
 from .tableaux import strip_successors
 
@@ -49,6 +56,17 @@ class QuantumClass:
         self.ctx = ctx
         self.terms = clean
         self.localized = localized
+
+    @classmethod
+    def _from_kernel(
+        cls, ctx: GrassContext, terms: dict[TermKey, int], localized: bool
+    ) -> "QuantumClass":
+        """Wrap terms a kernel produced: nonzero, fitting the box, degrees admitted."""
+        self = cls.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        self.localized = localized
+        return self
 
     def coefficient(self, lam: Partition, d: int) -> int:
         return self.terms.get((lam, d), 0)
@@ -117,7 +135,6 @@ class QuantumClass:
 
 
 def schubert_class(lam: Partition, ctx: GrassContext, d: int = 0) -> QuantumClass:
-    ctx.require_fits(lam)
     return QuantumClass(ctx, {(lam, d): 1}, localized=d < 0)
 
 
@@ -208,17 +225,24 @@ def _basis_qprod(
 
 
 def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
-    """Bilinear extension of the basis product; commutative and associative."""
+    """Bilinear extension of the basis product; commutative and associative.
+
+    The sum runs on the kernel's (parts, degree) keys; each surviving term is
+    then wrapped once, in the context's shared Partition of its parts.
+    """
     if f.ctx != g.ctx:
         raise ContextMismatch("classes live over different contexts")
     ctx = f.ctx
-    acc: dict[TermKey, int] = {}
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
     for (lam, d1), a in f.terms.items():
         for (mu, d2), b in g.terms.items():
+            ab, shift = a * b, d1 + d2
             for (nu, dd), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
-                key = (Partition(nu), d1 + d2 + dd)
-                acc[key] = acc.get(key, 0) + a * b * c
-    return QuantumClass(ctx, acc, f.localized or g.localized)
+                key = (nu, shift + dd)
+                acc[key] = acc.get(key, 0) + ab * c
+    interned = basis_table(ctx).partition
+    terms = {(interned[nu], d): c for (nu, d), c in acc.items() if c}
+    return QuantumClass._from_kernel(ctx, terms, f.localized or g.localized)
 
 
 def quantum_pieri(kind: str, r: int, mu: Partition, ctx: GrassContext) -> QuantumClass:
@@ -261,7 +285,8 @@ def giambelli_class(lam: Partition, ctx: GrassContext) -> QuantumClass:
         term = _class_times_h(cls, lam.part(i) + j - i, ctx)
         return None if term.is_zero() else term.scaled(sign)
 
-    det = masked_det(ctx.k, unit_class(ctx), entry, operator.add)
+    first = [i - lam.part(i) for i in range(1, ctx.k + 1)]
+    det = masked_det(ctx.k, unit_class(ctx), entry, operator.add, first)
     return QuantumClass(ctx) if det is None else det
 
 

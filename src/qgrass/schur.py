@@ -296,7 +296,8 @@ def _alternating_kostka_sum(
     def entry(chains, i, j, sign):
         return grow_chains(chains, nu[i - 1] - i + j, d, ctx.k, ctx.cols, sign) or None
 
-    chains = masked_det(len(nu), {(mu.parts, 0): 1}, entry, _merge_counts)
+    first = [i - p for i, p in enumerate(nu, start=1)]
+    chains = masked_det(len(nu), {(mu.parts, 0): 1}, entry, _merge_counts, first)
     return chains.get((lam.parts, d), 0) if chains else 0
 
 

@@ -25,7 +25,7 @@ from qgrass import (
     phi,
     to_word01,
 )
-from qgrass.partitions import basis_table, format_terms, masked_det
+from qgrass.partitions import basis_table, box_partitions_by_size, format_terms, masked_det
 
 CTX = GrassContext(4, 10)
 FIG1 = Partition((6, 4, 4, 2))
@@ -195,35 +195,69 @@ def _mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _leibniz(a):
+    m = len(a)
+    total = ((0, 0), (0, 0))
+    for w in permutations(range(m)):
+        term = ((1, 0), (0, 1))
+        for i in range(m):
+            term = _mat_mul(term, a[i][w[i]])
+        inversions = sum(w[x] > w[y] for x in range(m) for y in range(x + 1, m))
+        if inversions % 2:
+            term = _mat_mul(term, ((-1, 0), (0, -1)))
+        total = _mat_add(total, term)
+    return total
+
+
 def test_masked_det_matches_leibniz():
     # Entries are 2 x 2 integer matrices, so the check also sees that each
-    # term multiplies its entries in row order; about half of them are zero.
+    # term multiplies its entries in row order.  The first matrices have
+    # about half their entries zero anywhere; the others have the zero
+    # pattern of the Jacobi-Trudi callers, entry (i, j) zero for j < i - lam_i.
     rng = random.Random(4)
     zero = ((0, 0), (0, 0))
     one = ((1, 0), (0, 1))
+
+    def nonzero():
+        while True:
+            e = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+            if e != zero:
+                return e
+
+    cases = []
     for m in range(6):
         for _ in range(20):
+            a = [[zero if rng.random() < 0.5 else nonzero() for _ in range(m)] for _ in range(m)]
+            # The leftmost nonzero column of each row need not grow down the rows.
+            leftmost = [next((j for j, e in enumerate(row, 1) if e != zero), m + 1) for row in a]
+            cases += [(a, [1] * m), (a, leftmost)]
+        for _ in range(20):
+            lam = sorted((rng.randint(0, m) for _ in range(m)), reverse=True)
+            first = [i - p for i, p in enumerate(lam, 1)]
             a = [
-                [
-                    zero if rng.random() < 0.5
-                    else tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-                    for _ in range(m)
-                ]
-                for _ in range(m)
+                [zero if j < first[i - 1] or rng.random() < 0.2 else nonzero()
+                 for j in range(1, m + 1)]
+                for i in range(1, m + 1)
             ]
-            leibniz = zero
-            for w in permutations(range(m)):
-                term = one
-                for i in range(m):
-                    term = _mat_mul(term, a[i][w[i]])
-                inversions = sum(w[x] > w[y] for x in range(m) for y in range(x + 1, m))
-                if inversions % 2:
-                    term = _mat_mul(term, ((-1, 0), (0, -1)))
-                leibniz = _mat_add(leibniz, term)
+            cases.append((a, first))
+    for a, first in cases:
 
-            def entry(value, i, j, sign):
-                e = a[i - 1][j - 1]
-                return None if e == zero else _mat_mul(value, _mat_mul(e, ((sign, 0), (0, sign))))
+        def entry(value, i, j, sign):
+            e = a[i - 1][j - 1]
+            return None if e == zero else _mat_mul(value, _mat_mul(e, ((sign, 0), (0, sign))))
 
-            got = masked_det(m, one, entry, _mat_add)
-            assert (zero if got is None else got) == leibniz, (m, a)
+        got = masked_det(len(a), one, entry, _mat_add, first)
+        assert (zero if got is None else got) == _leibniz(a), (a, first)
+
+
+def test_enumerations_share_the_interned_partitions():
+    ctx = GrassContext(3, 6)
+    interned = basis_table(ctx).partition
+    basis = enumerate_pkn(ctx)
+    again = enumerate_pkn(ctx)
+    assert basis is not again
+    assert all(a is b and interned[a.parts] is a for a, b in zip(basis, again))
+    basis.clear()
+    assert len(enumerate_pkn(ctx)) == ctx.num_classes
+    for m in range(ctx.k * ctx.cols + 1):
+        assert all(interned[lam.parts] is lam for lam in box_partitions_by_size(ctx, m))

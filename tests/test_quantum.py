@@ -2,6 +2,7 @@ import pytest
 
 from qgrass import (
     ContextMismatch,
+    DoesNotFitBox,
     GrassContext,
     IndexOutOfRange,
     Partition,
@@ -21,7 +22,8 @@ from qgrass import (
     to_word01,
     unit_class,
 )
-from qgrass.partitions import box_partitions_by_size
+from qgrass.partitions import basis_table, box_partitions_by_size
+from qgrass.quantum import _basis_qprod
 
 C24 = GrassContext(2, 4)
 
@@ -255,3 +257,78 @@ def test_quantum_class_api():
         {"d": 0, "partition": [1], "coeff": 1},
         {"d": 1, "partition": [1], "coeff": 3},
     ]
+
+
+def test_boundary_validation():
+    with pytest.raises(DoesNotFitBox):
+        schubert_class(Partition((3,)), GrassContext(2, 4))
+    with pytest.raises(DoesNotFitBox):
+        QuantumClass(C24, {(Partition((1, 1, 1)), 0): 1})
+    with pytest.raises(QGrassError):
+        QuantumClass(C24, {(Partition((1,)), -1): 1})
+    with pytest.raises(QGrassError):
+        cls((1,)).q_shift(-1)
+    assert schubert_class(Partition((1,)), C24, -1).localized
+
+
+def reference_product(f, g):
+    """The bilinear sum over _basis_qprod, each term in a new Partition."""
+    acc = {}
+    for (lam, d1), a in f.terms.items():
+        for (mu, d2), b in g.terms.items():
+            for (nu, dd), c in _basis_qprod(f.ctx, lam.parts, mu.parts).items():
+                key = (Partition(nu), d1 + d2 + dd)
+                acc[key] = acc.get(key, 0) + a * b * c
+    return QuantumClass(f.ctx, acc, f.localized or g.localized)
+
+
+def test_product_matches_reference_sum():
+    ctx = GrassContext(2, 5)
+    s1, s2, s11 = cls((1,), ctx), cls((2,), ctx), cls((1, 1), ctx)
+    multi = s1.scaled(2) + cls((2, 1), ctx, d=1).scaled(-3) + cls((3, 2), ctx)
+    local = cls((2, 1), ctx, d=-2)
+    pairs = [
+        (multi, multi),
+        (multi, s2 + s11),
+        (s1, s2 - s2),
+        (s1, s2 - s11),  # the s[2,1] terms cancel
+        (multi.q_shift(2), s2.q_shift(1)),
+        (local, multi),
+        (multi, s1.q_shift(-3, localized=True)),
+    ]
+    basis = [schubert_class(lam, ctx) for lam in enumerate_pkn(ctx)]
+    pairs += [(a, b) for a in basis for b in basis]
+    for f, g in pairs:
+        got, want = quantum_product(f, g), reference_product(f, g)
+        assert got == want and got.localized == want.localized, (f, g)
+        assert 0 not in got.terms.values()
+    assert quantum_product(s1, s2 - s2).is_zero()
+    assert quantum_product(s1, s2 - s2) + s1 == s1
+    assert str(quantum_product(s1, s2 - s11)) == "s[3]"
+    assert quantum_product(local, s1).localized
+    assert not quantum_product(multi, multi).localized
+
+
+def test_product_terms_are_shared_and_independent():
+    ctx = GrassContext(2, 5)
+    interned = basis_table(ctx).partition
+    f, g = cls((2, 1), ctx), cls((2,), ctx) + cls((1, 1), ctx)
+    first = quantum_product(f, g)
+    for lam, _ in first.terms:
+        assert interned[lam.parts] is lam
+    before = dict(interned)
+    want = reference_product(f, g)
+    first.terms.clear()
+    first.terms[(Partition((9, 9)), 0)] = 7
+    assert quantum_product(f, g) == want
+    assert dict(interned) == before
+    assert all(interned[parts] is lam for parts, lam in before.items())
+
+
+def test_product_does_not_enumerate_the_basis():
+    # Gr(8,18) has 43,758 classes; a product of two small classes should not
+    # pay for the sweep tables of its context.
+    ctx = GrassContext(8, 18)
+    a = schubert_class(Partition((3, 2, 1)), ctx)
+    assert terms(quantum_product(a, a))[((6, 4, 2), 0)] == 1
+    assert set(vars(basis_table(ctx))) == {"k", "n", "partition"}
