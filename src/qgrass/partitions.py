@@ -260,21 +260,26 @@ def graded_key(parts: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _partitions_into(total: int, max_parts: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of total into at most max_parts parts, each at most max_part.
+
+    Lexicographic with larger first parts first, as graded_key orders them.
+    """
+    if total == 0:
+        return ((),)
+    if max_parts == 0 or max_part == 0:
+        return ()
+    found = []
+    for first in range(min(total, max_part), 0, -1):
+        for rest in _partitions_into(total - first, max_parts - 1, first):
+            found.append((first,) + rest)
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
 def _box_partitions(k: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    result = []
-
-    def grow(prefix, bound):
-        result.append(tuple(prefix))
-        if len(prefix) == k:
-            return
-        for p in range(1, bound + 1):
-            prefix.append(p)
-            grow(prefix, p)
-            prefix.pop()
-
-    grow([], cols)
-    result.sort(key=graded_key)
-    return tuple(result)
+    """Every box partition, in graded_key order."""
+    return tuple(p for m in range(k * cols + 1) for p in _partitions_into(m, k, cols))
 
 
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:
@@ -343,15 +348,10 @@ def basis_table(ctx: GrassContext) -> BasisTable:
     return BasisTable(ctx)
 
 
-@lru_cache(maxsize=None)
-def _box_partitions_of_size(k: int, cols: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(t for t in _box_partitions(k, cols) if sum(t) == m)
-
-
 def box_partitions_by_size(ctx: GrassContext, m: int) -> list[Partition]:
     """Box partitions with exactly m cells, in lexicographic order."""
     interned = basis_table(ctx).partition
-    return [interned[t] for t in _box_partitions_of_size(ctx.k, ctx.cols, m)]
+    return [interned[t] for t in _partitions_into(m, ctx.k, ctx.cols)]
 
 
 def masked_det(m: int, start, entry, add, first: Sequence[int]):

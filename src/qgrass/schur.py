@@ -23,7 +23,7 @@ from .errors import NotContained, VarMismatch
 from .partitions import (
     GrassContext,
     Partition,
-    box_partitions_by_size,
+    _partitions_into,
     format_terms,
     graded_key,
     masked_det,
@@ -256,19 +256,6 @@ def schur_product(
     return SchurExpansion(f.nvars, acc)
 
 
-@lru_cache(maxsize=None)
-def _partitions_into(total: int, max_parts: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    if total == 0:
-        return ((),)
-    if max_parts == 0 or max_part == 0:
-        return ()
-    found = []
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions_into(total - first, max_parts - 1, first):
-            found.append((first,) + rest)
-    return tuple(found)
-
-
 def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     """Schur expansion of the skew polynomial for lam/mu in nvars variables."""
     if not lam.contains(mu):
@@ -307,6 +294,26 @@ def _merge_counts(acc: dict, more: dict) -> dict:
     return acc
 
 
+def _toric_coefficients(
+    lam: Partition, d: int, mu: Partition, ctx: GrassContext, nvars: int
+) -> dict[tuple[int, ...], int]:
+    """{nu parts: nonzero coefficient of s_nu} of lam/d/mu in nvars variables.
+
+    A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
+    of the first determinant row is zero.  Only nu with nu_1 <= n-k are
+    visited, at most the partitions in an nvars x (n-k) box, whatever d is.
+    """
+    shape = make_shape(lam, d, mu, ctx)
+    if shape is EMPTY:
+        return {}
+    coefficients = {}
+    for nu in _partitions_into(shape.size, nvars, ctx.cols):
+        c = _alternating_kostka_sum(lam, d, mu, nu, ctx)
+        if c:
+            coefficients[nu] = c
+    return coefficients
+
+
 def toric_schur_expand(
     lam: Partition, d: int, mu: Partition, ctx: GrassContext, nvars: int
 ) -> SchurExpansion:
@@ -320,16 +327,8 @@ def toric_schur_expand(
         raise VarMismatch(f"nvars must be >= 0, got {nvars}")
     ctx.require_fits(lam)
     ctx.require_fits(mu)
-    shape = make_shape(lam, d, mu, ctx)
-    if shape is EMPTY:
-        return SchurExpansion(nvars, {})
-    total = shape.size
-    terms: dict[Partition, int] = {}
-    for parts in _partitions_into(total, nvars, total):
-        c = _alternating_kostka_sum(lam, d, mu, parts, ctx)
-        if c:
-            terms[Partition(parts)] = c
-    return SchurExpansion(nvars, terms)
+    coefficients = _toric_coefficients(lam, d, mu, ctx, nvars)
+    return SchurExpansion(nvars, {Partition(nu): c for nu, c in coefficients.items()})
 
 
 _GW_TABLE_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
@@ -338,19 +337,12 @@ _GW_TABLE_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
 def toric_gw_table(
     lam: Partition, d: int, mu: Partition, ctx: GrassContext
 ) -> dict[tuple[int, ...], int]:
-    """Structure constants read off the toric expansion, indexed by box partitions."""
+    """Structure constants read off the toric expansion, indexed by box partitions.
+
+    In k variables with nu_1 <= n-k, the nu visited are the box partitions.
+    """
     key = (ctx.k, ctx.n, lam.parts, d, mu.parts)
-    cached = _GW_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    table: dict[tuple[int, ...], int] = {}
-    shape = make_shape(lam, d, mu, ctx)
-    if shape is not EMPTY:
-        size = shape.size
-        if 0 <= size <= ctx.k * ctx.cols:
-            for nu in box_partitions_by_size(ctx, size):
-                c = _alternating_kostka_sum(lam, d, mu, nu.parts, ctx)
-                if c:
-                    table[nu.parts] = c
-    _GW_TABLE_CACHE[key] = table
+    table = _GW_TABLE_CACHE.get(key)
+    if table is None:
+        table = _GW_TABLE_CACHE[key] = _toric_coefficients(lam, d, mu, ctx, ctx.k)
     return table

@@ -16,129 +16,43 @@ from .errors import QGrassError
 from .partitions import GrassContext, Partition
 
 
-def _canonical(parts: list[int]) -> tuple[int, ...]:
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
-def _h_successors_d0(mu: list[int], k: int, cols: int, size: int):
-    """Horizontal strips inside the box: row r may grow up to row r-1's old value."""
-    out = []
-    new = mu[:]
-
-    def grow(r, remaining):
-        if r > k:
-            if remaining == 0:
-                out.append((_canonical(new[:]), 0))
-            return
-        hi = min(cols if r == 1 else mu[r - 2], mu[r - 1] + remaining)
-        for v in range(mu[r - 1], hi + 1):
-            new[r - 1] = v
-            grow(r + 1, remaining - (v - mu[r - 1]))
-        new[r - 1] = mu[r - 1]
-
-    grow(1, size)
-    return out
-
-
-def _h_successors_d1(mu: list[int], k: int, cols: int, size: int):
-    """Horizontal strips that wrap once: the new loop sits strictly below the old.
-
-    Row bounds: new_i <= mu_i - 1 (no shared columns after the wrap) and
-    new_i >= mu_{i+1} - 1 (nesting of the shifted loops).
-    """
-    n = k + cols
-    total = sum(mu) + size - n
-    if total < 0 or mu[k - 1] < 1:
-        return []
-    out = []
-    new = [0] * k
-
-    def grow(r, remaining):
-        if r > k:
-            if remaining == 0:
-                out.append((_canonical(new[:]), 1))
-            return
-        lo = max(mu[r] - 1, 0) if r < k else 0
-        hi = min(mu[r - 1] - 1, remaining)
-        for v in range(lo, hi + 1):
-            new[r - 1] = v
-            grow(r + 1, remaining - v)
-
-    grow(1, total)
-    return out
-
-
-def _v_successors_d0(mu: list[int], k: int, cols: int, size: int):
-    """Vertical strips inside the box: each row grows by zero or one."""
-    out = []
-    new = mu[:]
-
-    def grow(r, remaining):
-        if r > k:
-            if remaining == 0:
-                out.append((_canonical(new[:]), 0))
-            return
-        for add in (0, 1):
-            v = mu[r - 1] + add
-            if add > remaining:
-                continue
-            if r == 1 and v > cols:
-                continue
-            if r > 1 and v > new[r - 2]:
-                continue
-            new[r - 1] = v
-            grow(r + 1, remaining - add)
-        new[r - 1] = mu[r - 1]
-
-    grow(1, size)
-    return out
-
-
-def _v_successors_d1(mu: list[int], k: int, cols: int, size: int):
-    """Vertical strips that wrap once; only loops with a full first row admit them.
-
-    The wrapped row contributes exactly one cell and forces new_k = 0; row i+1
-    of the region holds 0 or 1 cells via new_i in {mu_{i+1} - 1, mu_{i+1}}.
-    """
-    if mu[0] != cols or size < 1:
-        return []
-    out = []
-    new = [0] * k
-
-    def grow(r, remaining):
-        if r > k - 1:
-            if remaining == 0:
-                new[k - 1] = 0
-                out.append((_canonical(new[:]), 1))
-            return
-        for add in (0, 1):
-            v = mu[r] - 1 + add
-            if v < 0 or add > remaining:
-                continue
-            if r > 1 and v > new[r - 2]:
-                continue
-            new[r - 1] = v
-            grow(r + 1, remaining - add)
-
-    grow(1, size - 1)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _strip_successors_raw(
     base: tuple[int, ...], k: int, cols: int, size: int, direction: str
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    mu = list(base) + [0] * (k - len(base))
+    """(parts, offset increase) of every loop one strip of the given size above base.
+
+    The new loop's row values u_1..u_k are listed over the old values
+    m_1..m_k.  A horizontal strip interlaces, m_i <= u_i <= m_(i-1), with
+    m_0 = m_k + (n-k) from the period; a vertical strip has
+    m_i <= u_i <= m_i + 1 with u weakly decreasing.  The loop closes when
+    u_1 <= u_k + (n-k).  The offset grows by 1 exactly when u_1 > n-k, and
+    the base is then (u_2-1, ..., u_k-1, u_1-1-(n-k)).  Sizes below 0 or
+    above the strip bound give no loop, size 0 gives base itself.
+    """
+    m = base + (0,) * (k - len(base))
     if direction == "horizontal":
-        if size > cols:
-            return ()
-        found = _h_successors_d0(mu, k, cols, size) + _h_successors_d1(mu, k, cols, size)
+        rows = [(m[i], m[i - 1] if i else m[-1] + cols) for i in range(k)]
     else:
-        if size > k:
-            return ()
-        found = _v_successors_d0(mu, k, cols, size) + _v_successors_d1(mu, k, cols, size)
+        rows = [(p, p + 1) for p in m]
+    # (u_1..u_i, cells of the strip still to place) for every admissible prefix.
+    grown = [((), size)]
+    for lo, hi in rows:
+        grown = [
+            (u + (v,), left - v + lo)
+            for u, left in grown
+            for v in range(lo, min(hi, lo + left, u[-1] if u else hi) + 1)
+        ]
+    found = []
+    for u, left in grown:
+        if left or u[0] > u[-1] + cols:
+            continue
+        if u[0] > cols:
+            u, dinc = tuple(v - 1 for v in u[1:]) + (u[0] - 1 - cols,), 1
+        else:
+            dinc = 0
+        # Weakly decreasing, so the nonzero parts are a prefix.
+        found.append((tuple(v for v in u if v), dinc))
     return tuple(found)
 
 
@@ -151,10 +65,6 @@ def strip_successors(
     """
     if direction not in ("horizontal", "vertical"):
         raise QGrassError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
-    if size < 0:
-        return []
-    if size == 0:
-        return [loop]
     ctx = loop.ctx
     return [
         CylindricLoop(Partition(parts), loop.offset + dinc, ctx)

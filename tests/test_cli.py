@@ -1,6 +1,6 @@
 import json
 
-from qgrass import symmetry
+from qgrass import quantum, symmetry
 from qgrass.cli import main
 
 
@@ -187,3 +187,24 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()
+
+
+def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
+    # sigma_1 * sigma_1 = sigma_2 + sigma_11 in Gr(2,4); the toric backend
+    # reports 2 for sigma_11.
+    real = quantum.toric_gw_table
+
+    def corrupted(lam, d, mu, ctx):
+        table = real(lam, d, mu, ctx)
+        if (lam.parts, d, mu.parts) == ((1, 1), 0, (1,)):
+            table = {**table, (1,): table[(1,)] + 1}
+        return table
+
+    argv = ("verify", "--k", "2", "--n", "4", "--scope", "backends")
+    monkeypatch.setattr(quantum, "toric_gw_table", corrupted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "FAIL backend_agreement_and_nonnegativity" in out.splitlines()
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "PASS backend_agreement_and_nonnegativity" in out.splitlines()

@@ -22,7 +22,14 @@ from qgrass import (
     quantum_kostka,
     toric_schur_expand,
 )
-from qgrass.schur import _lr_count, _mult_basis, _mult_basis_canonical, _partitions_into
+from qgrass import schur
+from qgrass.schur import (
+    _lr_count,
+    _mult_basis,
+    _mult_basis_canonical,
+    _partitions_into,
+    toric_gw_table,
+)
 
 
 def expansion(nvars, *pairs):
@@ -210,6 +217,27 @@ def test_toric_expand_matches_permutation_sum():
                         assert dict(got.terms) == _permutation_sum_expansion(
                             lam, d, mu, ctx, m
                         ), (ctx, lam, d, mu, m)
+
+
+def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
+    # A horizontal strip has at most n-k cells, so nu_1 > n-k cannot occur.
+    seen = []
+    real = schur._alternating_kostka_sum
+
+    def recording(lam, d, mu, nu, ctx):
+        seen.append((nu, ctx.cols))
+        return real(lam, d, mu, nu, ctx)
+
+    monkeypatch.setattr(schur, "_alternating_kostka_sum", recording)
+    for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
+        basis = enumerate_pkn(ctx)
+        for lam in basis:
+            for mu in basis:
+                for d in range(4):
+                    toric_schur_expand(lam, d, mu, ctx, ctx.k + 2)
+                    toric_gw_table(lam, d, mu, ctx)
+    assert seen
+    assert all(not nu or nu[0] <= cols for nu, cols in seen)
 
 
 def test_toric_expand_rejects_negative_nvars():

@@ -11,6 +11,7 @@ from qgrass import (
     Partition,
     enumerate_pkn,
     enumerate_tableaux,
+    is_strip,
     make_shape,
     quantum_kostka,
     strip_successors,
@@ -40,8 +41,6 @@ def test_strip_successors_examples():
 
 
 def test_strip_successors_are_strips_with_small_offset_jump():
-    from qgrass import is_strip
-
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
         for mu in enumerate_pkn(ctx):
             base = CylindricLoop(mu, 0, ctx)
@@ -56,18 +55,18 @@ def test_strip_successors_are_strips_with_small_offset_jump():
 
 
 def test_strip_successors_complete():
-    # every valid strip-sized shape over mu appears among the successors
-    for ctx in (C24, GrassContext(2, 5)):
+    # every valid strip-sized shape over mu appears among the successors, once
+    for ctx in (C24, GrassContext(2, 5), GrassContext(3, 6), GrassContext(3, 7)):
         for mu in enumerate_pkn(ctx):
             base = CylindricLoop(mu, 0, ctx)
             for direction in ("horizontal", "vertical"):
-                from qgrass import is_strip
-
-                found = {
-                    (s.base.parts, s.offset, size)
-                    for size in range(1, ctx.n)
-                    for s in strip_successors(base, size, direction)
-                }
+                found = set()
+                for size in range(1, ctx.n):
+                    succs = [
+                        (s.base.parts, s.offset) for s in strip_successors(base, size, direction)
+                    ]
+                    assert len(succs) == len(set(succs)), (ctx, mu.parts, direction, size)
+                    found.update((parts, d, size) for parts, d in succs)
                 expected = set()
                 for lam in enumerate_pkn(ctx):
                     for d in (0, 1, 2):
