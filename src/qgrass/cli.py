@@ -39,6 +39,8 @@ from .tableaux import quantum_kostka
 BACKENDS = ("bcf", "toric", "niltl")
 # Bounds toric-schur's work: the coefficient of s_nu runs over up to 2^len(nu) column sets.
 MAX_NVARS = 16
+# Bounds verify's relation suite: eh_op composes all 2^n - 2 cyclic words over N classes.
+MAX_RELATION_WORK = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,6 +268,11 @@ def _cmd_verify(args) -> int:
     if ctx.num_classes > args.cap:
         raise QGrassError(
             f"basis has {ctx.num_classes} elements, above the cap {args.cap}"
+        )
+    work = 2**ctx.n * ctx.num_classes
+    if args.scope in ("relations", "all") and work > MAX_RELATION_WORK:
+        raise QGrassError(
+            f"relation suite: 2^n * N = {work} is above the bound 2^20 = {MAX_RELATION_WORK}"
         )
     report: list[dict[str, str]] = []
     if args.scope in ("relations", "all"):

@@ -34,10 +34,6 @@ class CylindricLoop:
         q, i0 = divmod(i - self.offset - 1, k)
         return self.base.part(i0 + 1) + self.offset - q * cols
 
-    def shifted(self, steps: int) -> "CylindricLoop":
-        """South-East shift: same base, offset moved by steps."""
-        return CylindricLoop(self.base, self.offset + steps, self.ctx)
-
     def last_row_at_least(self, j: int) -> int:
         """Largest index i with value(i) >= j; finite since values decrease."""
         k, cols = self.ctx.k, self.ctx.cols

@@ -133,6 +133,17 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1 and "cap" in err
 
 
+def test_verify_bounds_the_relation_suite(capsys):
+    # Gr(1,18): N = 18 is under the cap, but 2^18 * 18 is above the relation bound
+    argv = ("verify", "--k", "1", "--n", "18")
+    code, out, err = run(capsys, *argv, "--scope", "relations")
+    assert code == 1 and out == "" and "2^20" in err
+    code, out, _ = run(capsys, *argv, "--scope", "symmetries")
+    assert code == 0 and "PASS strange_duality_transport" in out.splitlines()
+    code, _, err = run(capsys, "verify", "--k", "3", "--n", "20")
+    assert code == 1 and "cap" in err
+
+
 def test_gw_no_feasible_degree(capsys):
     argv = ("gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1", "--nu", "1")
     code, out, _ = run(capsys, *argv)
@@ -183,7 +194,9 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
     code, out, _ = run(capsys, *argv)
     assert code == 2
-    assert "FAIL hidden_cyclic_symmetry" in out.splitlines()
+    lines = out.splitlines()
+    assert "FAIL hidden_cyclic_symmetry" in lines
+    assert "FAIL strange_duality_transport" in lines and "FAIL s3_symmetry" in lines
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()

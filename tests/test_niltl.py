@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qgrass import (
@@ -7,15 +9,19 @@ from qgrass import (
     LaurentPoly,
     NilTLOperator,
     Partition,
+    QGrassError,
+    Word01,
     enumerate_pkn,
     enumerate_tableaux,
     eh_op,
+    from_word01,
     generator_op,
     is_toric,
     make_shape,
     quantum_product,
     schubert_class,
     schubert_op,
+    to_word01,
     verify_relations,
     word_operator,
     z_op,
@@ -48,6 +54,78 @@ def test_generator_action():
     assert col == {Partition((1,)): LaurentPoly.q_power(1)}
     with pytest.raises(IndexOutOfRange):
         generator_op(5, ctx)
+
+
+def _laurent_generators(ctx):
+    """Reference generators as rows {col: LaurentPoly}, built from the boundary words."""
+    basis = enumerate_pkn(ctx)
+    index = {lam: i for i, lam in enumerate(basis)}
+    gens = {}
+    for g in range(1, ctx.n + 1):
+        src, dst = g - 1, g % ctx.n
+        poly = LaurentPoly.q_power(1 if g == ctx.n else 0)
+        rows = [{} for _ in basis]
+        for col, lam in enumerate(basis):
+            bits = list(to_word01(lam, ctx).bits)
+            if bits[src] == 1 and bits[dst] == 0:
+                bits[src], bits[dst] = 0, 1
+                rows[index[from_word01(Word01(tuple(bits)), ctx)]][col] = poly
+        gens[g] = rows
+    return gens
+
+
+def _laurent_matmul(a, b):
+    out = []
+    for row_a in a:
+        acc = {}
+        for l, p in row_a.items():
+            for j, r in b[l].items():
+                acc[j] = acc[j] + p * r if j in acc else p * r
+        out.append({j: p for j, p in acc.items() if p})
+    return out
+
+
+def test_graded_operators_match_laurent_reference():
+    # every word of length <= 3, composed as Laurent-polynomial matrices
+    for ctx in (C24, GrassContext(2, 5)):
+        gens = _laurent_generators(ctx)
+        dim = ctx.num_classes
+        words = [w for m in range(4) for w in product(range(1, ctx.n + 1), repeat=m)]
+        for word in words:
+            ref = [{i: LaurentPoly.one()} for i in range(dim)]
+            for g in word:
+                ref = _laurent_matmul(gens[g], ref)
+            op = word_operator(ctx, word)
+            for i in range(dim):
+                for j in range(dim):
+                    assert op.entry(i, j) == ref[i].get(j, LaurentPoly()), (word, i, j)
+
+
+def test_graded_operator_arithmetic():
+    ctx = C24
+    ident = NilTLOperator.identity(ctx)
+    u1 = generator_op(1, ctx)
+    with pytest.raises(QGrassError):
+        u1 + ident
+    assert NilTLOperator.zero(ctx) + u1 == u1
+    # equal rows, different degrees
+    assert ident != ident.scaled(LaurentPoly.q_power(1))
+    with pytest.raises(QGrassError):
+        ident.scaled(LaurentPoly({0: 1, 1: 1}))
+    with pytest.raises(TypeError):
+        NilTLOperator(ctx, [{i: LaurentPoly.one()} for i in range(ctx.num_classes)])
+
+
+def test_operator_entries_are_homogeneous():
+    ctx = GrassContext(3, 6)
+    basis = enumerate_pkn(ctx)
+    ops = [eh_op(kind, r, ctx) for kind in ("e", "h") for r in range(1, ctx.n)]
+    ops += [schubert_op(lam, ctx, kind) for lam in basis for kind in ("h", "e")]
+    for op in ops:
+        for i, row in enumerate(op.rows):
+            for j in row:
+                shift = op.degree + basis[j].size - basis[i].size
+                assert shift >= 0 and shift % ctx.n == 0, (op.degree, i, j)
 
 
 def test_eh_first_level():
