@@ -9,38 +9,16 @@ import argparse
 import json
 import sys
 
+from . import verify
 from .errors import QGrassError
-from .niltl import verify_relations
-from .partitions import (
-    GrassContext,
-    box_partitions_by_size,
-    enumerate_pkn,
-    format_terms,
-    parse_partition,
-)
-from .quantum import (
-    giambelli_class,
-    gw_invariant,
-    quantum_product,
-    rimhook_reduce,
-    schubert_class,
-)
-from .schur import lr_coefficient, toric_schur_expand
-from .symmetry import (
-    check_strange_duality_pair,
-    dmin_dmax,
-    hidden_symmetry_sweep,
-    q_power_set,
-    s3_symmetry_sweep,
-    strange_duality,
-)
+from .partitions import GrassContext, format_terms, parse_partition
+from .quantum import BACKENDS, gw_invariant, quantum_product, rimhook_reduce, schubert_class
+from .schur import toric_schur_expand
+from .symmetry import dmin_dmax, q_power_set
 from .tableaux import quantum_kostka
 
-BACKENDS = ("bcf", "toric", "niltl")
 # Bounds toric-schur's work: the coefficient of s_nu runs over up to 2^len(nu) column sets.
 MAX_NVARS = 16
-# Bounds verify's relation suite: eh_op composes all 2^n - 2 cyclic words over N classes.
-MAX_RELATION_WORK = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,126 +165,16 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _feasible_degrees(ctx, total: int) -> list[int]:
-    degrees = []
-    for d in range(total // ctx.n + 1):
-        if 0 <= total - d * ctx.n <= ctx.k * ctx.cols:
-            degrees.append(d)
-    return degrees
-
-
-def _basis_pairs(ctx) -> list[tuple]:
-    basis = enumerate_pkn(ctx)
-    return [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
-
-
-def _check_backends(ctx) -> bool:
-    def pair_ok(mu, nu) -> bool:
-        for d in _feasible_degrees(ctx, mu.size + nu.size):
-            for lam in box_partitions_by_size(ctx, mu.size + nu.size - d * ctx.n):
-                values = [gw_invariant(mu, nu, lam, d, ctx, b) for b in BACKENDS]
-                if len(set(values)) != 1 or values[0] < 0:
-                    return False
-        return True
-
-    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
-
-
-def _check_s3(ctx) -> bool:
-    return s3_symmetry_sweep(ctx) is None
-
-
-def _check_hidden(ctx) -> bool:
-    return hidden_symmetry_sweep(ctx) is None
-
-
-def _check_strange(ctx) -> bool:
-    return all(check_strange_duality_pair(*pair, ctx) for pair in _basis_pairs(ctx))
-
-
-def _check_dtilde(ctx) -> bool:
-    def pair_ok(lam, mu) -> bool:
-        a, b = schubert_class(lam, ctx), schubert_class(mu, ctx)
-        return strange_duality(quantum_product(a, b)) == quantum_product(
-            strange_duality(a), strange_duality(b)
-        )
-
-    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
-
-
-def _check_intervals(ctx) -> bool:
-    def pair_ok(lam, mu) -> bool:
-        try:
-            interval = dmin_dmax(lam, mu, ctx)
-        except QGrassError:
-            return False
-        powers = q_power_set(lam, mu, ctx)
-        return bool(powers) and powers == set(interval.members())
-
-    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
-
-
-def _check_classical(ctx) -> bool:
-    def pair_ok(lam, mu) -> bool:
-        product = quantum_product(schubert_class(lam, ctx), schubert_class(mu, ctx))
-        for nu in box_partitions_by_size(ctx, lam.size + mu.size):
-            if product.coefficient(nu, 0) != lr_coefficient(lam, mu, nu):
-                return False
-        return all(c >= 0 for c in product.terms.values())
-
-    return all(pair_ok(*pair) for pair in _basis_pairs(ctx))
-
-
-def _check_giambelli(ctx) -> bool:
-    return all(
-        giambelli_class(lam, ctx) == schubert_class(lam, ctx) for lam in enumerate_pkn(ctx)
-    )
-
-
 def _cmd_verify(args) -> int:
-    ctx = _context(args)
-    if ctx.num_classes > args.cap:
-        raise QGrassError(
-            f"basis has {ctx.num_classes} elements, above the cap {args.cap}"
-        )
-    work = 2**ctx.n * ctx.num_classes
-    if args.scope in ("relations", "all") and work > MAX_RELATION_WORK:
-        raise QGrassError(
-            f"relation suite: 2^n * N = {work} is above the bound 2^20 = {MAX_RELATION_WORK}"
-        )
-    report: list[dict[str, str]] = []
-    if args.scope in ("relations", "all"):
-        report.extend(verify_relations(ctx))
-    suites = {
-        "backends": [("backend_agreement_and_nonnegativity", _check_backends)],
-        "symmetries": [
-            ("s3_symmetry", _check_s3),
-            ("hidden_cyclic_symmetry", _check_hidden),
-            ("strange_duality_transport", _check_strange),
-            ("strange_duality_multiplicative", _check_dtilde),
-        ],
-        "intervals": [("q_power_interval", _check_intervals)],
-        "classical": [
-            ("classical_limit", _check_classical),
-            ("giambelli", _check_giambelli),
-        ],
-    }
-    selected: list[tuple[str, object]] = []
-    if args.scope == "all":
-        for group in suites.values():
-            selected.extend(group)
-    elif args.scope in suites:
-        selected.extend(suites[args.scope])
-    for name, fn in selected:
-        ok = fn(ctx)
-        report.append({"check": name, "status": "pass" if ok else "fail"})
-    failed = any(entry["status"] != "pass" for entry in report)
+    report = verify.run(_context(args), args.scope)
     if args.format == "json":
         _emit_json(report)
     else:
         for entry in report:
             print(f"{'PASS' if entry['status'] == 'pass' else 'FAIL'} {entry['check']}")
-    return 2 if failed else 0
+            if "counterexample" in entry:
+                print(f"  counterexample: {entry['counterexample']}")
+    return 2 if any(entry["status"] != "pass" for entry in report) else 0
 
 
 def build_parser() -> _Parser:
@@ -351,7 +219,6 @@ def build_parser() -> _Parser:
         choices=("relations", "symmetries", "backends", "intervals", "classical", "all"),
         default="all",
     )
-    sub.add_argument("--cap", type=int, default=500)
     sub.set_defaults(func=_cmd_verify)
     return parser
 

@@ -125,10 +125,6 @@ class NilTLOperator:
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self._entry(basis_table(self.ctx), i, j)
 
-    def entry_by_partition(self, row: Partition, col: Partition) -> LaurentPoly:
-        table = basis_table(self.ctx)
-        return self._entry(table, table.index[row.parts], table.index[col.parts])
-
     def column(self, mu: Partition) -> dict[Partition, LaurentPoly]:
         table = basis_table(self.ctx)
         j = table.index[mu.parts]

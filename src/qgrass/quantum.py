@@ -290,6 +290,9 @@ def giambelli_class(lam: Partition, ctx: GrassContext) -> QuantumClass:
     return QuantumClass(ctx) if det is None else det
 
 
+BACKENDS = ("bcf", "toric", "niltl")
+
+
 def gw_invariant(
     mu: Partition,
     nu: Partition,
@@ -315,6 +318,8 @@ def gw_invariant(
     if backend == "niltl":
         from .niltl import schubert_op
 
-        op = schubert_op(nu, ctx)
-        return op.entry_by_partition(lam, mu).coefficient(d)
+        op, index = schubert_op(nu, ctx), basis_table(ctx).index
+        if op.degree + mu.size - lam.size != d * ctx.n:
+            return 0
+        return op.rows[index[lam.parts]].get(index[mu.parts], 0)
     raise QGrassError(f"unknown backend {backend!r}")

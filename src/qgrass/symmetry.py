@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import FormMismatch
 from .partitions import (
@@ -187,21 +188,23 @@ def hidden_symmetry_check(
     return d1 == d0 + shift
 
 
-def _gw_triple_table(ctx: GrassContext, table: BasisTable) -> list[tuple[int, int]]:
-    """gw_triple of every ordered triple of basis indices (i, j, l), at (i*N + j)*N + l."""
+def _gw_triple_table(ctx: GrassContext, table: BasisTable) -> list[tuple[int, ...]]:
+    """gw_triple's coefficient of every ordered triple of basis indices (i, j, l), at [i*N + j][l].
+
+    Infeasible triples read 0; the degree is pinned by the sizes, so it is not stored.
+    """
     n, parts, size, comp = ctx.n, table.parts, table.size, table.complement
     box = ctx.k * ctx.cols
-    values: list[tuple[int, int]] = []
-    # One tuple object per distinct (d, coeff) keeps the N^3 table small.
-    interned: dict[tuple[int, int], tuple[int, int]] = {}
+    rows: list[tuple[int, ...]] = []
     for i, lam in enumerate(parts):
         for j, mu in enumerate(parts):
             prod = _basis_qprod(ctx, lam, mu)
+            row = []
             for l in range(len(parts)):
                 d, rem = divmod(size[i] + size[j] + size[l] - box, n)
-                pair = (0, 0) if rem or d < 0 else (d, prod.get((parts[comp[l]], d), 0))
-                values.append(interned.setdefault(pair, pair))
-    return values
+                row.append(0 if rem or d < 0 else prod.get((parts[comp[l]], d), 0))
+            rows.append(tuple(row))
+    return rows
 
 
 def s3_symmetry_sweep(ctx: GrassContext) -> tuple | None:
@@ -215,9 +218,9 @@ def s3_symmetry_sweep(ctx: GrassContext) -> tuple | None:
     for i in range(dim):
         for j in range(i, dim):
             for l in range(j, dim):
-                base = gw[(i * dim + j) * dim + l]
+                base = gw[i * dim + j][l]
                 for x, y, z in permutations((i, j, l)):
-                    if gw[(x * dim + y) * dim + z] != base:
+                    if gw[x * dim + y][z] != base:
                         return (table.parts[i], table.parts[j], table.parts[l])
     return None
 
@@ -225,30 +228,28 @@ def s3_symmetry_sweep(ctx: GrassContext) -> tuple | None:
 def hidden_symmetry_sweep(ctx: GrassContext) -> tuple | None:
     """hidden_symmetry_check for every ordered basis triple and every a, b in 0..n-1.
 
-    Runs on basis indices: the shifted triple's invariant is looked up in
-    the same table of gw_triple values.  Returns the first failing
-    (lam, mu, nu, a, b) with parts tuples, or None.
+    Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for every
+    class x and a, checked first (FormMismatch); then row (i, j) of the table must equal the
+    shifted row.  Returns the first failing (lam, mu, nu, a, b) with parts tuples, or None.
     """
     table = basis_table(ctx)
     n, k, dim = ctx.n, ctx.k, len(table.parts)
-    shift, prefix = table.shift, table.phi
+    shift, prefix, size = table.shift, table.phi, table.size
+    for x in range(dim):
+        for a in range(n):
+            if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
+                raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
     gw = _gw_triple_table(ctx, table)
     for a in range(n):
         for b in range(n):
-            # c = -a - b lies in (-2n, 0]; phi(c) = phi(c mod n) + k * (c div n).
-            wraps, c = divmod(-a - b, n)
-            shift_c = [s[c] for s in shift]
-            phi_c = [p[c] + wraps * k for p in prefix]
+            # 1 <= k < n gives N >= 2, so the gather returns a tuple, as the rows are.
+            gather = itemgetter(*[s[(-a - b) % n] for s in shift])
             for i in range(dim):
-                i1, phi_a = shift[i][a], prefix[i][a]
                 for j in range(dim):
-                    base0 = (i * dim + j) * dim
-                    base1 = (i1 * dim + shift[j][b]) * dim
-                    phi_ab = phi_a + prefix[j][b]
-                    for l, (d0, c0) in enumerate(gw[base0:base0 + dim]):
-                        d1, c1 = gw[base1 + shift_c[l]]
-                        if c1 != c0 or (c0 and d1 != d0 + phi_ab + phi_c[l]):
-                            return (table.parts[i], table.parts[j], table.parts[l], a, b)
+                    row0, moved = gw[i * dim + j], gather(gw[shift[i][a] * dim + shift[j][b]])
+                    if moved != row0:
+                        l = next(l for l in range(dim) if moved[l] != row0[l])
+                        return (table.parts[i], table.parts[j], table.parts[l], a, b)
     return None
 
 

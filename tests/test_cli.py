@@ -2,6 +2,7 @@ import json
 
 from qgrass import quantum, symmetry
 from qgrass.cli import main
+from qgrass.partitions import GrassContext, Partition
 
 
 def run(capsys, *argv):
@@ -142,6 +143,9 @@ def test_verify_bounds_the_relation_suite(capsys):
     assert code == 0 and "PASS strange_duality_transport" in out.splitlines()
     code, _, err = run(capsys, "verify", "--k", "3", "--n", "20")
     assert code == 1 and "cap" in err
+    # Gr(5,11): N = 462 is under the cap, but N^3 * n^2 is above the sweep bound
+    code, out, err = run(capsys, "verify", "--k", "5", "--n", "11", "--scope", "symmetries")
+    assert code == 1 and out == "" and "2^31" in err
 
 
 def test_gw_no_feasible_degree(capsys):
@@ -178,6 +182,9 @@ def test_verify_with_jobs(capsys):
     code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "backends", "--jobs", "2")
     assert code == 1 and out == ""
     assert "usage:" in err and "unrecognized arguments: --jobs 2" in err
+    # the basis bound is a constant, not an option
+    code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--cap", "10")
+    assert code == 1 and out == "" and "unrecognized arguments: --cap 10" in err
 
 
 def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
@@ -197,6 +204,12 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     lines = out.splitlines()
     assert "FAIL hidden_cyclic_symmetry" in lines
     assert "FAIL strange_duality_transport" in lines and "FAIL s3_symmetry" in lines
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    entry = next(e for e in json.loads(out) if e["check"] == "hidden_cyclic_symmetry")
+    *triple, a, b = entry["counterexample"]
+    lam, mu, nu = (Partition(tuple(p)) for p in triple)
+    assert not symmetry.hidden_symmetry_check(lam, mu, nu, a, b, -a - b, GrassContext(2, 4))
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()
@@ -218,6 +231,14 @@ def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert "FAIL backend_agreement_and_nonnegativity" in out.splitlines()
+    assert "  counterexample: ((1,), (1,), (1, 1), 0, (1, 2, 1))" in out.splitlines()
+    # (mu, nu, lam, d, (bcf, toric, niltl))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == [{
+        "check": "backend_agreement_and_nonnegativity", "status": "fail",
+        "counterexample": [[1], [1], [1, 1], 0, [1, 2, 1]],
+    }]
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS backend_agreement_and_nonnegativity" in out.splitlines()

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -245,6 +246,22 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
     assert not hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
     triple = [Partition(p) for p in s3_symmetry_sweep(ctx)]
     assert len({gw_triple(*p, ctx) for p in permutations(triple)}) > 1
+
+
+def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
+    # The degree half of the sweep rests on |shift_a(x)| - |x| = n*phi(x, a) - k*a;
+    # one wrong prefix statistic must raise rather than pass or name a triple.
+    ctx = GrassContext(2, 5)
+    real = symmetry.basis_table(ctx)
+    phi = [list(row) for row in real.phi]
+    phi[3][2] += 1
+    fake = SimpleNamespace(
+        parts=real.parts, size=real.size, complement=real.complement, shift=real.shift,
+        phi=tuple(tuple(row) for row in phi),
+    )
+    monkeypatch.setattr(symmetry, "basis_table", lambda c: fake)
+    with pytest.raises(FormMismatch):
+        hidden_symmetry_sweep(ctx)
 
 
 def test_strange_duality_transport():
