@@ -191,6 +191,34 @@ class NilTLOperator:
         )
 
 
+def _word_action(ctx: GrassContext, words: Sequence[Sequence[int]], degree: int) -> NilTLOperator:
+    """Sum of the operators of generator words, applied to every basis 01-word.
+
+    Letter i moves the 1 in slot i to slot i+1 (cyclically); a word dies
+    when slot i holds 0 or slot i+1 holds 1.  Each surviving word adds 1 at
+    (image, column).
+    """
+    n, k = ctx.n, ctx.k
+    bad = [g for word in words for g in word if not 1 <= g <= n]
+    if bad:
+        raise IndexOutOfRange(f"generator index {bad[0]} outside 1..{n}")
+    table = basis_table(ctx)
+    rows: list[dict[int, int]] = [{} for _ in range(ctx.num_classes)]
+    for col, lam in enumerate(table.parts):
+        start = _word_bits(lam, k, n)
+        for word in words:
+            bits = list(start)
+            for g in word:
+                src, dst = g - 1, g % n
+                if not bits[src] or bits[dst]:
+                    break
+                bits[src], bits[dst] = 0, 1
+            else:
+                row = rows[table.index[_bits_to_parts(bits, k)]]
+                row[col] = row.get(col, 0) + 1
+    return NilTLOperator(ctx, rows, degree)
+
+
 @lru_cache(maxsize=None)
 def generator_op(i: int, ctx: GrassContext) -> NilTLOperator:
     """The i-th generator: move a 1 from word slot i to slot i+1 (cyclically).
@@ -198,64 +226,34 @@ def generator_op(i: int, ctx: GrassContext) -> NilTLOperator:
     Every generator has degree 1, so the wrap-around generator, which
     removes n-1 boxes, carries the factor q.
     """
-    if not 1 <= i <= ctx.n:
-        raise IndexOutOfRange(f"generator index {i} outside 1..{ctx.n}")
-    table = basis_table(ctx)
-    rows: list[dict[int, int]] = [{} for _ in range(ctx.num_classes)]
-    src = i - 1
-    dst = i % ctx.n
-    for col, lam in enumerate(table.parts):
-        bits = list(_word_bits(lam, ctx.k, ctx.n))
-        if bits[src] == 1 and bits[dst] == 0:
-            bits[src], bits[dst] = 0, 1
-            rows[table.index[_bits_to_parts(bits, ctx.k)]][col] = 1
-    return NilTLOperator(ctx, rows, 1)
+    return _word_action(ctx, [(i,)], 1)
 
 
 def word_operator(ctx: GrassContext, word: Iterable[int]) -> NilTLOperator:
     """Operator of a generator word; the first letter acts first."""
-    result = NilTLOperator.identity(ctx)
-    for g in word:
-        result = generator_op(g, ctx) @ result
-    return result
-
-
-def _cyclic_runs(subset: tuple[int, ...], n: int) -> list[list[int]]:
-    """Split a proper subset of 1..n into maximal cyclically consecutive runs."""
-    members = set(subset)
-    runs = []
-    for start in sorted(members):
-        prev = n if start == 1 else start - 1
-        if prev in members:
-            continue
-        run = [start]
-        nxt = start % n + 1
-        while nxt in members:
-            run.append(nxt)
-            nxt = nxt % n + 1
-        runs.append(run)
-    return runs
+    word = tuple(word)
+    return _word_action(ctx, [word], len(word))
 
 
 @lru_cache(maxsize=None)
 def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
     """Noncommutative elementary (e) or complete homogeneous (h) sum of words.
 
-    Sum over r-subsets of the cyclic index set; within a consecutive run the
-    letters act top-down for e (higher index first) and bottom-up for h.
-    Distinct runs commute, so their order does not matter.
+    Sum over r-subsets of the cyclic index set.  Read cyclically from just
+    after a missing index, a subset is its h word: each maximal run comes
+    out bottom-up, and runs are flanked by non-members, so letters of
+    different runs commute.  The e word is the h word reversed.
     """
     if kind not in ("e", "h"):
         raise QGrassError(f"kind must be 'e' or 'h', got {kind!r}")
     if not 1 <= r <= ctx.n - 1:
         raise IndexOutOfRange(f"index {r} outside 1..{ctx.n - 1}")
-    total = NilTLOperator.zero(ctx)
+    words = []
     for subset in combinations(range(1, ctx.n + 1), r):
-        word: list[int] = []
-        for run in _cyclic_runs(subset, ctx.n):
-            word.extend(reversed(run) if kind == "e" else run)
-        total = total + word_operator(ctx, word)
-    return total
+        gap = min(set(range(1, ctx.n + 1)).difference(subset))
+        word = sorted(subset, key=lambda i: (i - gap) % ctx.n)
+        words.append(word[::-1] if kind == "e" else word)
+    return _word_action(ctx, words, r)
 
 
 def z_op(l: int, ctx: GrassContext) -> NilTLOperator:

@@ -276,12 +276,6 @@ def _partitions_into(total: int, max_parts: int, max_part: int) -> tuple[tuple[i
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _box_partitions(k: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    """Every box partition, in graded_key order."""
-    return tuple(p for m in range(k * cols + 1) for p in _partitions_into(m, k, cols))
-
-
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:
     """All box partitions in graded lexicographic order (by size, then parts)."""
     table = basis_table(ctx)
@@ -312,7 +306,9 @@ class BasisTable:
 
     @cached_property
     def parts(self) -> tuple[tuple[int, ...], ...]:
-        return _box_partitions(self.k, self.n - self.k)
+        """Every box partition, in graded_key order."""
+        k, cols = self.k, self.n - self.k
+        return tuple(p for m in range(k * cols + 1) for p in _partitions_into(m, k, cols))
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:

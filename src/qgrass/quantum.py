@@ -156,34 +156,24 @@ class RimHookReduction:
 def _reduce_raw(
     tau: tuple[int, ...], k: int, n: int
 ) -> tuple[tuple[int, ...], int, int] | None:
-    """Abacus reduction: beads tau_i + k - i; one hook removal drops a bead by n.
+    """Abacus reduction: beads b_i = tau_i + k - i on n runners.
 
-    The height of a removal is the number of beads strictly between the old
-    and the new position; the total sign is well defined even though single
-    heights depend on the removal order.
+    Removing n-hooks slides each bead up its runner; a runner holding two
+    beads leaves a core too wide for the box, so the class vanishes unless
+    the residues b_i mod n are distinct.  Then the core is read off the
+    sorted residues, d = sum of floor(b_i / n), and the sign is
+    (-1)^(d(k-1) + inv), inv counting the inversions of the residues.
     """
-    beads = {(tau[i] if i < len(tau) else 0) + k - i - 1 for i in range(k)}
-    d = 0
-    heights = 0
-    moved = True
-    while moved:
-        moved = False
-        for b in sorted(beads, reverse=True):
-            if b - n >= 0 and (b - n) not in beads:
-                heights += sum(1 for x in beads if b - n < x < b)
-                beads.remove(b)
-                beads.add(b - n)
-                d += 1
-                moved = True
-                break
-    core = []
-    for i, b in enumerate(sorted(beads, reverse=True)):
-        core.append(b - (k - i - 1))
+    beads = [(tau[i] if i < len(tau) else 0) + k - i - 1 for i in range(k)]
+    residues = [b % n for b in beads]
+    if len(set(residues)) < k:
+        return None
+    d = sum(b // n for b in beads)
+    inv = sum(1 for i in range(k) for j in range(i + 1, k) if residues[i] < residues[j])
+    core = [r - (k - i - 1) for i, r in enumerate(sorted(residues, reverse=True))]
     while core and core[-1] == 0:
         core.pop()
-    if core and core[0] > n - k:
-        return None
-    sign = -1 if (d * (k - 1) - heights) % 2 else 1
+    sign = -1 if (d * (k - 1) + inv) % 2 else 1
     return tuple(core), d, sign
 
 

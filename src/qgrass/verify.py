@@ -19,7 +19,7 @@ from .symmetry import (
 
 # Bounds the basis size N.
 MAX_CLASSES = 500
-# Bounds the relation suite: eh_op composes all 2^n - 2 cyclic words over N classes.
+# Bounds the relation suite: eh_op applies all 2^n - 2 cyclic words to N classes.
 MAX_RELATION_WORK = 2**20
 # Bounds the triple sweeps: the hidden sweep compares N^3 invariants for n^2 shifts.
 MAX_SWEEP_WORK = 2**31

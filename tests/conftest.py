@@ -109,21 +109,23 @@ def classical_triple(a: Partition, b: Partition, c: Partition, ctx: GrassContext
 def _border_strip_removals(parts: tuple[int, ...], n: int):
     """All ways to peel one size-n border strip off a diagram, with heights."""
     rows = len(parts)
-    results = []
 
-    def subparts(i, prefix):
+    def subparts(i, prefix, removed):
+        """Sub-partitions mu of parts with exactly n cells removed."""
         if i == rows:
-            yield tuple(prefix)
+            if removed == n:
+                yield tuple(prefix)
             return
         hi = parts[i] if i == 0 else min(parts[i], prefix[-1])
         for v in range(hi + 1):
+            now = removed + parts[i] - v
+            if now > n or now + sum(parts[i + 1:]) < n:
+                continue
             prefix.append(v)
-            yield from subparts(i + 1, prefix)
+            yield from subparts(i + 1, prefix, now)
             prefix.pop()
 
-    for mu in subparts(0, []):
-        if sum(parts) - sum(mu) != n:
-            continue
+    for mu in subparts(0, [], 0):
         cells = {
             (r, c) for r in range(rows) for c in range(mu[r], parts[r])
         }
@@ -142,16 +144,15 @@ def _border_strip_removals(parts: tuple[int, ...], n: int):
                     stack.append(nb)
         if seen != cells:
             continue
-        results.append((Partition(mu), len({r for r, _ in cells}) - 1))
-    return results
+        yield Partition(mu), len({r for r, _ in cells}) - 1
 
 
 def geometric_rimhook_reduce(tau: Partition, n: int):
     """Greedy geometric reduction: (core, removals, total height)."""
     cur, d, hsum = tau, 0, 0
     while True:
-        options = _border_strip_removals(cur.parts, n)
-        if not options:
+        first = next(_border_strip_removals(cur.parts, n), None)
+        if first is None:
             return cur, d, hsum
-        mu, h = options[0]
+        mu, h = first
         cur, d, hsum = mu, d + 1, hsum + h

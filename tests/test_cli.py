@@ -1,6 +1,6 @@
 import json
 
-from qgrass import quantum, symmetry
+from qgrass import FormMismatch, quantum, symmetry, verify
 from qgrass.cli import main
 from qgrass.partitions import GrassContext, Partition
 
@@ -242,3 +242,27 @@ def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS backend_agreement_and_nonnegativity" in out.splitlines()
+
+
+def test_verify_fails_when_an_interval_form_raises(capsys, monkeypatch):
+    # a pair whose interval form cannot be built is a counterexample, not a skip
+    real = verify.dmin_dmax
+
+    def broken(lam, mu, ctx):
+        if (lam.parts, mu.parts) == ((1,), (2,)):
+            raise FormMismatch("injected")
+        return real(lam, mu, ctx)
+
+    argv = ("verify", "--k", "2", "--n", "4", "--scope", "intervals")
+    monkeypatch.setattr(verify, "dmin_dmax", broken)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines() == ["FAIL q_power_interval", "  counterexample: ((1,), (2,))"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == [
+        {"check": "q_power_interval", "status": "fail", "counterexample": [[1], [2]]}
+    ]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == ["PASS q_power_interval"]

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -99,6 +99,60 @@ def test_graded_operators_match_laurent_reference():
             for i in range(dim):
                 for j in range(dim):
                     assert op.entry(i, j) == ref[i].get(j, LaurentPoly()), (word, i, j)
+
+
+def _cyclic_runs(subset, n):
+    """Split a proper subset of 1..n into maximal cyclically consecutive runs."""
+    members = set(subset)
+    runs = []
+    for start in sorted(members):
+        prev = n if start == 1 else start - 1
+        if prev in members:
+            continue
+        run = [start]
+        nxt = start % n + 1
+        while nxt in members:
+            run.append(nxt)
+            nxt = nxt % n + 1
+        runs.append(run)
+    return runs
+
+
+def test_eh_ops_match_run_words():
+    # e_r and h_r as sums of run words: within a run the letters act top-down
+    # for e and bottom-up for h, composed as Laurent-polynomial matrices
+    for ctx in (C24, GrassContext(2, 5), GrassContext(3, 6)):
+        gens = _laurent_generators(ctx)
+        dim = ctx.num_classes
+        for kind in ("e", "h"):
+            for r in range(1, ctx.n):
+                ref = [{} for _ in range(dim)]
+                for subset in combinations(range(1, ctx.n + 1), r):
+                    word = [
+                        g
+                        for run in _cyclic_runs(subset, ctx.n)
+                        for g in (reversed(run) if kind == "e" else run)
+                    ]
+                    op = [{i: LaurentPoly.one()} for i in range(dim)]
+                    for g in word:
+                        op = _laurent_matmul(gens[g], op)
+                    for i, row in enumerate(op):
+                        for j, p in row.items():
+                            ref[i][j] = ref[i][j] + p if j in ref[i] else p
+                op = eh_op(kind, r, ctx)
+                for i in range(dim):
+                    for j in range(dim):
+                        want = ref[i].get(j, LaurentPoly())
+                        assert op.entry(i, j) == want, (kind, r, i, j)
+
+
+def test_word_operator_rejects_letters_outside_range():
+    for ctx in (C24, GrassContext(2, 5)):
+        for letter in (0, ctx.n + 1):
+            with pytest.raises(IndexOutOfRange):
+                word_operator(ctx, (letter,))
+            with pytest.raises(IndexOutOfRange):
+                word_operator(ctx, (1, letter))
 
 
 def test_graded_operator_arithmetic():
