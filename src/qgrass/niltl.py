@@ -96,7 +96,8 @@ class NilTLOperator:
     """Homogeneous operator over the box-partition basis: integer rows, one degree.
 
     rows[i][j] = c is the entry c * q^d, d = (degree + |col j| - |row i|) / n.
-    Rows are stored sparsely; A @ B composes with B acting first.
+    Rows are stored sparsely, with no zero entry, and never change once
+    stored; A @ B composes with B acting first.
     """
 
     __slots__ = ("ctx", "rows", "degree")
@@ -105,6 +106,15 @@ class NilTLOperator:
         self.ctx = ctx
         self.rows = tuple({j: c for j, c in row.items() if c} for row in rows)
         self.degree = degree
+
+    @classmethod
+    def _wrap(
+        cls, ctx: GrassContext, rows: tuple[dict[int, int], ...], degree: int
+    ) -> "NilTLOperator":
+        """An operator over fresh rows that hold no zero entry, without copying them."""
+        op = object.__new__(cls)
+        op.ctx, op.rows, op.degree = ctx, rows, degree
+        return op
 
     @classmethod
     def zero(cls, ctx: GrassContext) -> "NilTLOperator":
@@ -141,8 +151,9 @@ class NilTLOperator:
             for l, a in row_a.items():
                 for j, b in other.rows[l].items():
                     acc[j] = acc.get(j, 0) + a * b
-            rows.append(acc)
-        return NilTLOperator(self.ctx, rows, self.degree + other.degree)
+            # Products of nonzero entries are nonzero; only a sum can cancel.
+            rows.append({j: c for j, c in acc.items() if c} if 0 in acc.values() else acc)
+        return NilTLOperator._wrap(self.ctx, tuple(rows), self.degree + other.degree)
 
     def __add__(self, other: "NilTLOperator") -> "NilTLOperator":
         if self.degree != other.degree:
@@ -153,9 +164,13 @@ class NilTLOperator:
         for ra, rb in zip(self.rows, other.rows):
             acc = dict(ra)
             for j, c in rb.items():
-                acc[j] = acc.get(j, 0) + c
+                c += acc.get(j, 0)
+                if c:
+                    acc[j] = c
+                else:
+                    del acc[j]
             rows.append(acc)
-        return NilTLOperator(self.ctx, rows, self.degree)
+        return NilTLOperator._wrap(self.ctx, tuple(rows), self.degree)
 
     def __sub__(self, other: "NilTLOperator") -> "NilTLOperator":
         return self + other.scaled(-1)
@@ -169,9 +184,8 @@ class NilTLOperator:
             c, degree = a, self.degree
         else:
             raise QGrassError(f"can only scale by an integer or a monomial c*q^e, got {a!r}")
-        return NilTLOperator(
-            self.ctx, [{j: v * c for j, v in row.items()} for row in self.rows], degree
-        )
+        rows = tuple({j: v * c for j, v in row.items()} if c else {} for row in self.rows)
+        return NilTLOperator._wrap(self.ctx, rows, degree)
 
     def power(self, m: int) -> "NilTLOperator":
         result = NilTLOperator.identity(self.ctx)

@@ -2,8 +2,9 @@
 
 Everything here is immutable and pure.  Partitions are stored canonically
 (weakly decreasing, no trailing zeros), so they can be used as dict keys
-everywhere else in the package.  masked_det is the one determinant kernel
-of the Giambelli, nil-Temperley-Lieb and toric backends.
+everywhere else in the package.  masked_step is the one determinant kernel:
+masked_det folds it over the rows for the Giambelli and nil-Temperley-Lieb
+backends, and the toric backend calls it row by row.
 """
 
 from __future__ import annotations
@@ -350,19 +351,40 @@ def box_partitions_by_size(ctx: GrassContext, m: int) -> list[Partition]:
     return [interned[t] for t in _partitions_into(m, ctx.k, ctx.cols)]
 
 
+def masked_step(states: dict, i: int, columns: Iterable[int], need: int, entry, add) -> dict:
+    """Row i of the Laplace expansion: extend every state by one entry of row i.
+
+    states[mask] is the signed sum of the partial products whose rows
+    1..i-1 took the columns in mask.  Each takes every free column j of
+    columns, through entry(value, i, j, sign) with sign -1 when an odd number
+    of used columns lie right of j; a new mask that misses a column of need
+    is dropped, and so is a term that entry returns as None.
+    """
+    nxt = {}
+    for mask, value in states.items():
+        for j in columns:
+            bit = 1 << (j - 1)
+            key = mask | bit
+            if mask & bit or (key & need) != need:
+                continue
+            term = entry(value, i, j, -1 if (mask >> j).bit_count() & 1 else 1)
+            if term is None:
+                continue
+            nxt[key] = add(nxt[key], term) if key in nxt else term
+    return nxt
+
+
 def masked_det(m: int, start, entry, add, first: Sequence[int]):
     """The m x m determinant, sum over w of sgn(w) * a[1, w(1)] * ... * a[m, w(m)].
 
-    Laplace expansion row by row: states[mask] is the signed sum of the
-    partial products whose rows 1..i took the columns in mask, so
-    permutations that share a column set share their prefix.
-    entry(value, i, j, sign) extends a partial product by the entry at
-    (i, j), 1-based, times sign (-1 when an odd number of used columns lie
-    right of j), or returns None for a zero term; add sums two of them.
-    The entries of row i left of column first[i - 1] are zero and are never
-    asked for.  So no row below i can take a column left of all their
-    firsts, and a column set of rows 1..i that leaves one free is dropped.
-    Returns None if every term is zero.
+    A fold of masked_step over the rows, so permutations that share a
+    column set share their prefix.  entry(value, i, j, sign) extends a
+    partial product by the entry at (i, j), 1-based, times sign, or returns
+    None for a zero term; add sums two of them.  The entries of row i left
+    of column first[i - 1] are zero and are never asked for.  So no row
+    below i can take a column left of all their firsts, and a column set of
+    rows 1..i that leaves one free is dropped.  Returns None if every term
+    is zero.
     """
     # needed[i]: the columns that rows 1..i must have used between them.
     needed = [0] * (m + 1)
@@ -372,18 +394,6 @@ def masked_det(m: int, start, entry, add, first: Sequence[int]):
         low = max(1, min(low, first[i - 1]))
     states = {0: start}
     for i in range(1, m + 1):
-        nxt = {}
-        need = needed[i]
-        lo = max(1, first[i - 1])
-        for mask, value in states.items():
-            for j in range(lo, m + 1):
-                bit = 1 << (j - 1)
-                key = mask | bit
-                if mask & bit or (key & need) != need:
-                    continue
-                term = entry(value, i, j, -1 if (mask >> j).bit_count() & 1 else 1)
-                if term is None:
-                    continue
-                nxt[key] = add(nxt[key], term) if key in nxt else term
-        states = nxt
+        columns = range(max(1, first[i - 1]), m + 1)
+        states = masked_step(states, i, columns, needed[i], entry, add)
     return states.get((1 << m) - 1)

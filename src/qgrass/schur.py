@@ -26,7 +26,7 @@ from .partitions import (
     _partitions_into,
     format_terms,
     graded_key,
-    masked_det,
+    masked_step,
 )
 from .tableaux import grow_chains
 
@@ -269,29 +269,58 @@ def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     return SchurExpansion(nvars, terms)
 
 
-def _alternating_kostka_sum(
-    lam: Partition, d: int, mu: Partition, nu: tuple[int, ...], ctx: GrassContext
-) -> int:
-    """Sum over w of sgn(w) * K(lam/d/mu, beta_w), beta_w,i = nu_i - i + w(i).
-
-    The determinant of strip-chain DP steps: the entry at (i, j) grows every
-    chain by a horizontal strip of size nu_i - i + j.  In m >= len(nu)
-    variables, a row i > len(nu) has nu_i = 0, so its entries vanish left of
-    the diagonal and are the empty strip on it; only permutations fixing
-    those rows survive, and the len(nu) x len(nu) minor gives the same sum.
-    """
-    def entry(chains, i, j, sign):
-        return grow_chains(chains, nu[i - 1] - i + j, d, ctx.k, ctx.cols, sign) or None
-
-    first = [i - p for i, p in enumerate(nu, start=1)]
-    chains = masked_det(len(nu), {(mu.parts, 0): 1}, entry, _merge_counts, first)
-    return chains.get((lam.parts, d), 0) if chains else 0
-
-
 def _merge_counts(acc: dict, more: dict) -> dict:
     for key, c in more.items():
         acc[key] = acc.get(key, 0) + c
     return acc
+
+
+def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars: int):
+    """Yield (nu, chains) for each nu of _partitions_into(size, nvars, cols), in order.
+
+    The coefficient of s_nu in lam/d/mu is the sum over w of
+    sgn(w) * K(lam/d/mu, beta_w), beta_w,i = nu_i - i + w(i): the
+    len(nu) x len(nu) determinant whose entry (i, j) grows every chain by a
+    horizontal strip of nu_i - i + j cells.  (In more variables a row
+    i > len(nu) is the empty strip on the diagonal and zero left of it, so
+    only permutations fixing it survive.)  chains is that determinant's
+    full-mask chain DP from mu at offset 0, or None if it is zero; its count
+    at (lam, d) is the coefficient, for every lam at once.
+
+    The Laplace states after rows 1..r depend on nu_1..nu_r only, and the nu
+    come in lexicographic order, so each prefix is expanded once for all its
+    extensions.  Row r with nu_r = v takes column j from r - v (a strip of
+    at least 0 cells) to cols + r - v (at most n-k cells), and no further
+    than nvars or r plus the cells left, as nu has at most that many rows.
+    Later rows have parts at most v, so they start at column r + 1 - v or
+    right of it: row r leaves no column left of that free.
+    """
+    # path[r]: the Laplace states after rows 1..r of the current nu.
+    path = [{0: {(mu, 0): 1}}]
+    prev: tuple[int, ...] = ()
+    for nu in _partitions_into(size, nvars, cols):
+        r = 0
+        while r < len(prev) and prev[r] == nu[r]:
+            r += 1
+        del path[r + 1:]
+        left = size - sum(nu[:r])
+        for i in range(r + 1, len(nu) + 1):
+            v = nu[i - 1]
+            left -= v
+
+            def entry(chains, i, j, sign):
+                return grow_chains(chains, v - i + j, d, k, cols, sign) or None
+
+            columns = range(max(1, i - v), min(nvars, i + left, cols + i - v) + 1)
+            need = (1 << max(0, i - v)) - 1
+            path.append(masked_step(path[-1], i, columns, need, entry, _merge_counts))
+        yield nu, path[-1].get((1 << len(nu)) - 1)
+        prev = nu
+
+
+# (k, n, mu, d, |nu|, nvars) -> {lam: the coefficient of every nu of the
+# walk, aligned with its _partitions_into order}.
+_TORIC_CACHE: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def _toric_coefficients(
@@ -302,16 +331,24 @@ def _toric_coefficients(
     A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
     of the first determinant row is zero.  Only nu with nu_1 <= n-k are
     visited, at most the partitions in an nvars x (n-k) box, whatever d is.
+    One walk serves every lam with the same mu, d and |nu|.
     """
     shape = make_shape(lam, d, mu, ctx)
     if shape is EMPTY:
         return {}
-    coefficients = {}
-    for nu in _partitions_into(shape.size, nvars, ctx.cols):
-        c = _alternating_kostka_sum(lam, d, mu, nu, ctx)
-        if c:
-            coefficients[nu] = c
-    return coefficients
+    key = (ctx.k, ctx.n, mu.parts, d, shape.size, nvars)
+    nus = _partitions_into(shape.size, nvars, ctx.cols)
+    group = _TORIC_CACHE.get(key)
+    if group is None:
+        rows: dict[tuple[int, ...], list[int]] = {}
+        walk = _toric_walk(ctx.k, ctx.cols, mu.parts, d, shape.size, nvars)
+        for t, (_, chains) in enumerate(walk):
+            for (end, off), c in (chains or {}).items():
+                if off == d and c:
+                    rows.setdefault(end, [0] * len(nus))[t] = c
+        group = _TORIC_CACHE[key] = {end: tuple(row) for end, row in rows.items()}
+    row = group.get(lam.parts)
+    return {} if row is None else {nu: c for nu, c in zip(nus, row) if c}
 
 
 def toric_schur_expand(

@@ -170,6 +170,28 @@ def test_graded_operator_arithmetic():
         NilTLOperator(ctx, [{i: LaurentPoly.one()} for i in range(ctx.num_classes)])
 
 
+def test_cancelling_products_and_sums_store_no_zero():
+    # Rows 0 and 1 of b map to column 2 with opposite signs, so a row taking
+    # both cancels there; so does u1 + (-u1) everywhere.
+    ctx = C24
+    dim = ctx.num_classes
+    a = NilTLOperator(ctx, [{0: 1, 1: 1}] + [{} for _ in range(dim - 1)], 0)
+    b = NilTLOperator(ctx, [{2: 1, 3: 1}, {2: -1, 4: 2}] + [{} for _ in range(dim - 2)], 0)
+    u1 = generator_op(1, ctx)
+    cases = [
+        (a @ b, NilTLOperator(ctx, [{2: 0, 3: 1, 4: 2}] + [{}] * (dim - 1), 0)),
+        (b + b.scaled(-1), NilTLOperator(ctx, [{2: 0, 3: 0}, {2: 0, 4: 0}] + [{}] * (dim - 2), 0)),
+        (u1 + u1.scaled(-1), NilTLOperator.zero(ctx)),
+        (a + b.scaled(-1), NilTLOperator(ctx, [{0: 1, 1: 1, 2: -1, 3: -1}, {2: 1, 4: -2}]
+                                         + [{}] * (dim - 2), 0)),
+        (u1.scaled(0), NilTLOperator.zero(ctx)),
+    ]
+    for got, want in cases:
+        assert all(c for row in got.rows for c in row.values()), got.rows
+        assert got == want
+    assert (u1 + u1.scaled(-1)).is_zero()
+
+
 def test_operator_entries_are_homogeneous():
     ctx = GrassContext(3, 6)
     basis = enumerate_pkn(ctx)

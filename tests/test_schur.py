@@ -222,13 +222,16 @@ def test_toric_expand_matches_permutation_sum():
 def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
     # A horizontal strip has at most n-k cells, so nu_1 > n-k cannot occur.
     seen = []
-    real = schur._alternating_kostka_sum
+    real = schur._toric_walk
 
-    def recording(lam, d, mu, nu, ctx):
-        seen.append((nu, ctx.cols))
-        return real(lam, d, mu, nu, ctx)
+    def recording(k, cols, mu, d, size, nvars):
+        for nu, chains in real(k, cols, mu, d, size, nvars):
+            seen.append((nu, cols))
+            yield nu, chains
 
-    monkeypatch.setattr(schur, "_alternating_kostka_sum", recording)
+    monkeypatch.setattr(schur, "_toric_walk", recording)
+    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    monkeypatch.setattr(schur, "_GW_TABLE_CACHE", {})
     for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
         basis = enumerate_pkn(ctx)
         for lam in basis:
@@ -238,6 +241,81 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
                     toric_gw_table(lam, d, mu, ctx)
     assert seen
     assert all(not nu or nu[0] <= cols for nu, cols in seen)
+
+
+def _counting_grow_chains(monkeypatch):
+    """Count schur.grow_chains calls, starting from empty toric caches."""
+    calls = []
+    real = schur.grow_chains
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(schur, "grow_chains", counting)
+    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    monkeypatch.setattr(schur, "_GW_TABLE_CACHE", {})
+    return calls
+
+
+def test_toric_tables_share_one_walk_per_mu_d_and_size(monkeypatch):
+    # The walk for (mu, d, |nu|) reads every lam at its leaves, so only the
+    # first lam of a group with a nonempty shape grows chains; and it takes
+    # one determinant row step per prefix of the nu it visits.
+    calls = _counting_grow_chains(monkeypatch)
+    steps = []
+    real_step = schur.masked_step
+
+    def counting_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(schur, "masked_step", counting_step)
+    ctx = GrassContext(3, 6)
+    basis = enumerate_pkn(ctx)
+    for mu in basis:
+        for d in range(ctx.k + 1):
+            groups = {}
+            for lam in basis:
+                groups.setdefault(lam.size + d * ctx.n - mu.size, []).append(lam)
+            for size, lams in groups.items():
+                grew = []
+                for lam in lams:
+                    before, steps_before = len(calls), len(steps)
+                    table = toric_gw_table(lam, d, mu, ctx)
+                    if len(calls) > before:
+                        grew.append(lam)
+                        nus = _partitions_into(size, ctx.k, ctx.cols)
+                        prefixes = {nu[:r] for nu in nus for r in range(1, len(nu) + 1)}
+                        assert len(steps) - steps_before == len(prefixes), (lam, d, mu)
+                    bcf = {nu.parts: gw_invariant(mu, nu, lam, d, ctx) for nu in basis}
+                    assert table == {nu: c for nu, c in bcf.items() if c}, (lam, d, mu)
+                if 0 < size <= ctx.k * ctx.cols:
+                    nonempty = [lam for lam in lams if make_shape(lam, d, mu, ctx) is not EMPTY]
+                    assert grew == nonempty[:1], (mu, d, size)
+                else:
+                    assert grew == [], (mu, d, size)
+
+
+def test_toric_expand_work_stops_growing_past_the_shape_size(monkeypatch):
+    # A nu of |shape| cells has at most |shape| rows, so the expansion, and
+    # the chain growth of its walk, is the same in any more variables.
+    calls = _counting_grow_chains(monkeypatch)
+    ctx = GrassContext(2, 5)
+    basis = enumerate_pkn(ctx)
+    for lam in basis:
+        for mu in basis:
+            for d in range(3):
+                shape = make_shape(lam, d, mu, ctx)
+                if shape is EMPTY:
+                    continue
+                found = {}
+                for nvars in (shape.size, 16):
+                    schur._TORIC_CACHE.clear()
+                    before = len(calls)
+                    terms = dict(toric_schur_expand(lam, d, mu, ctx, nvars).terms)
+                    found[nvars] = (terms, len(calls) - before)
+                assert found[shape.size] == found[16], (lam, d, mu)
 
 
 def test_toric_expand_rejects_negative_nvars():
