@@ -169,7 +169,9 @@ def _reduce_raw(
     if len(set(residues)) < k:
         return None
     d = sum(b // n for b in beads)
-    inv = sum(1 for i in range(k) for j in range(i + 1, k) if residues[i] < residues[j])
+    # A bead i >= len(tau) is k-i-1 < n, so those residues strictly decrease and only
+    # the first len(tau) beads can start an inversion.
+    inv = sum(1 for i in range(len(tau)) for j in range(i + 1, k) if residues[i] < residues[j])
     core = [r - (k - i - 1) for i, r in enumerate(sorted(residues, reverse=True))]
     while core and core[-1] == 0:
         core.pop()

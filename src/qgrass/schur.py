@@ -234,10 +234,11 @@ def _mult_basis_canonical(
     a: tuple[int, ...], b: tuple[int, ...], cap: int
 ) -> dict[tuple[int, ...], int]:
     # The product is symmetric; keep one cache entry per unordered pair and
-    # let the factor with fewer cells supply the strips.
+    # let the factor with fewer cells supply the strips.  No term has more than
+    # len(a) + len(b) rows, so a larger cap only lengthens the odometer.
     if (sum(a), len(a), a) < (sum(b), len(b), b):
         a, b = b, a
-    return _mult_basis(a, b, cap)
+    return _mult_basis(a, b, min(cap, len(a) + len(b)))
 
 
 def schur_product(

@@ -9,12 +9,11 @@ independent ways and cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 from operator import itemgetter
 
 from .errors import FormMismatch
 from .partitions import (
-    BasisTable,
     GrassContext,
     Partition,
     basis_table,
@@ -188,68 +187,68 @@ def hidden_symmetry_check(
     return d1 == d0 + shift
 
 
-def _gw_triple_table(ctx: GrassContext, table: BasisTable) -> list[tuple[int, ...]]:
-    """gw_triple's coefficient of every ordered triple of basis indices (i, j, l), at [i*N + j][l].
+def product_rows(ctx: GrassContext) -> list[tuple[int, ...]]:
+    """Row i*N + j holds, at basis index l, the coefficient of q^d sigma_l in sigma_i * sigma_j.
 
-    Infeasible triples read 0; the degree is pinned by the sizes, so it is not stored.
+    Equal rows are one object; FormMismatch unless every term has d*n = |i| + |j| - |l|.
     """
-    n, parts, size, comp = ctx.n, table.parts, table.size, table.complement
-    box = ctx.k * ctx.cols
-    rows: list[tuple[int, ...]] = []
-    for i, lam in enumerate(parts):
-        for j, mu in enumerate(parts):
-            prod = _basis_qprod(ctx, lam, mu)
-            row = []
-            for l in range(len(parts)):
-                d, rem = divmod(size[i] + size[j] + size[l] - box, n)
-                row.append(0 if rem or d < 0 else prod.get((parts[comp[l]], d), 0))
-            rows.append(tuple(row))
+    table = basis_table(ctx)
+    n, parts, size, index = ctx.n, table.parts, table.size, table.index
+    rows, pool = [], {}
+    for i, j in product(range(len(parts)), repeat=2):
+        row = [0] * len(parts)
+        for (nu, d), c in _basis_qprod(ctx, parts[i], parts[j]).items():
+            l = index[nu]
+            if d * n != size[i] + size[j] - size[l]:
+                raise FormMismatch(f"q^{d} sigma_{nu} in {parts[i]} * {parts[j]}: wrong degree")
+            row[l] = c
+        row = tuple(row)
+        rows.append(pool.setdefault(row, row))
     return rows
 
 
-def s3_symmetry_sweep(ctx: GrassContext) -> tuple | None:
-    """gw_triple is invariant under permuting the triple, for every basis triple.
+def s3_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
+    """gw_triple(i, j, l) = rows[i*N + j][complement[l]] is invariant under permuting the triple.
 
     Returns the first failing (lam, mu, nu) as parts tuples, or None.
     """
     table = basis_table(ctx)
-    dim = len(table.parts)
-    gw = _gw_triple_table(ctx, table)
-    for i in range(dim):
-        for j in range(i, dim):
-            for l in range(j, dim):
-                base = gw[i * dim + j][l]
-                for x, y, z in permutations((i, j, l)):
-                    if gw[x * dim + y][z] != base:
-                        return (table.parts[i], table.parts[j], table.parts[l])
+    dim, comp = len(table.parts), table.complement
+    for i, j, l in combinations_with_replacement(range(dim), 3):
+        base = rows[i * dim + j][comp[l]]
+        for x, y, z in permutations((i, j, l)):
+            if rows[x * dim + y][comp[z]] != base:
+                return (table.parts[i], table.parts[j], table.parts[l])
     return None
 
 
-def hidden_symmetry_sweep(ctx: GrassContext) -> tuple | None:
+def hidden_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
     """hidden_symmetry_check for every ordered basis triple and every a, b in 0..n-1.
 
     Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for every
-    class x and a, checked first (FormMismatch); then row (i, j) of the table must equal the
-    shifted row.  Returns the first failing (lam, mu, nu, a, b) with parts tuples, or None.
+    class x and a, checked first (FormMismatch); then row (i, j) must equal the moved row of
+    (shift_a i, shift_b j).  Gives the first failing (lam, mu, nu, a, b) as parts tuples, or None.
     """
     table = basis_table(ctx)
     n, k, dim = ctx.n, ctx.k, len(table.parts)
-    shift, prefix, size = table.shift, table.phi, table.size
-    for x in range(dim):
-        for a in range(n):
-            if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
-                raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
-    gw = _gw_triple_table(ctx, table)
-    for a in range(n):
-        for b in range(n):
-            # 1 <= k < n gives N >= 2, so the gather returns a tuple, as the rows are.
-            gather = itemgetter(*[s[(-a - b) % n] for s in shift])
-            for i in range(dim):
-                for j in range(dim):
-                    row0, moved = gw[i * dim + j], gather(gw[shift[i][a] * dim + shift[j][b]])
-                    if moved != row0:
-                        l = next(l for l in range(dim) if moved[l] != row0[l])
-                        return (table.parts[i], table.parts[j], table.parts[l], a, b)
+    shift, prefix, size, comp = table.shift, table.phi, table.size, table.complement
+    for x, a in product(range(dim), range(n)):
+        if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
+            raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
+    # Entry m of a row moved by c is entry comp(shift_c(comp m)); 1 <= k < n gives N >= 2, so
+    # the gather returns a tuple, as the rows are.  Each distinct row moves once per c, to its
+    # equal row or None, so a match is an identity.
+    pool = {row: row for row in {id(row): row for row in rows}.values()}
+    gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
+    movers = [(g, {id(row): pool.get(g(row)) for row in pool.values()}) for g in gathers]
+    for a, b in product(range(n), repeat=2):
+        gather, moved = movers[(-a - b) % n]
+        for i, base in enumerate(s[a] * dim for s in shift):
+            for j in range(dim):
+                row0, source = rows[i * dim + j], rows[base + shift[j][b]]
+                if moved.get(id(source)) is not row0 and (row1 := gather(source)) != row0:
+                    l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
+                    return (table.parts[i], table.parts[j], table.parts[l], a, b)
     return None
 
 

@@ -13,8 +13,8 @@ from .partitions import GrassContext, box_partitions_by_size, enumerate_pkn
 from .quantum import BACKENDS, giambelli_class, gw_invariant, quantum_product, schubert_class
 from .schur import lr_coefficient
 from .symmetry import (
-    check_strange_duality_pair, dmin_dmax, hidden_symmetry_sweep, q_power_set, s3_symmetry_sweep,
-    strange_duality,
+    check_strange_duality_pair, dmin_dmax, hidden_symmetry_sweep, product_rows, q_power_set,
+    s3_symmetry_sweep, strange_duality,
 )
 
 # Bounds the basis size N.
@@ -92,17 +92,29 @@ def check_giambelli(ctx: GrassContext) -> tuple | None:
     return None
 
 
-SUITES = {
-    "backends": (("backend_agreement_and_nonnegativity", check_backends),),
-    "symmetries": (
-        ("s3_symmetry", s3_symmetry_sweep),
-        ("hidden_cyclic_symmetry", hidden_symmetry_sweep),
-        ("strange_duality_transport", check_strange),
-        ("strange_duality_multiplicative", check_dtilde),
-    ),
-    "intervals": (("q_power_interval", check_intervals),),
-    "classical": (("classical_limit", check_classical), ("giambelli", check_giambelli)),
-}
+def _suites(rows: list[tuple[int, ...]] | None) -> dict:
+    return {
+        "backends": (("backend_agreement_and_nonnegativity", check_backends),),
+        "symmetries": (
+            ("s3_symmetry", lambda ctx: s3_symmetry_sweep(ctx, rows)),
+            ("hidden_cyclic_symmetry", lambda ctx: hidden_symmetry_sweep(ctx, rows)),
+            ("strange_duality_transport", check_strange),
+            ("strange_duality_multiplicative", check_dtilde),
+        ),
+        "intervals": (("q_power_interval", check_intervals),),
+        "classical": (("classical_limit", check_classical), ("giambelli", check_giambelli)),
+    }
+
+
+def count_classes(ctx: GrassContext, cap: int) -> int:
+    """N = C(n, k) if it is at most cap, else cap + 1; no larger number is formed."""
+    # C(n, i + 1) = C(n, i) * (n - i) / (i + 1) increases while i < min(k, n - k).
+    count = 1
+    for i in range(min(ctx.k, ctx.n - ctx.k)):
+        count = count * (ctx.n - i) // (i + 1)
+        if count > cap:
+            return cap + 1
+    return count
 
 
 def run(ctx: GrassContext, scope: str) -> list[dict]:
@@ -110,21 +122,21 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
 
     Raises QGrassError, naming the bound, when the work would exceed it.
     """
-    dim, n = ctx.num_classes, ctx.n
-    sweep_work = dim**3 * n**2
+    dim, n = count_classes(ctx, MAX_CLASSES), ctx.n
     if dim > MAX_CLASSES:
-        raise QGrassError(f"basis has {dim} elements, above the cap {MAX_CLASSES}")
-    relations = scope in ("relations", "all")
+        raise QGrassError(f"basis has C({n}, {ctx.k}) elements, above the cap {MAX_CLASSES}")
+    relations, sweeps = scope in ("relations", "all"), scope in ("symmetries", "all")
     if relations and 2**n * dim > MAX_RELATION_WORK:
         raise QGrassError(
             f"relation suite: 2^n * N = {2**n * dim} is above the bound 2^20 = {MAX_RELATION_WORK}"
         )
-    if scope in ("symmetries", "all") and sweep_work > MAX_SWEEP_WORK:
+    if sweeps and dim**3 * n**2 > MAX_SWEEP_WORK:
         raise QGrassError(
-            f"triple sweeps: N^3 * n^2 = {sweep_work} is above the bound 2^31 = {MAX_SWEEP_WORK}"
+            f"triple sweeps: N^3 * n^2 = {dim**3 * n**2} is above the bound 2^31 = {MAX_SWEEP_WORK}"
         )
     report = verify_relations(ctx) if relations else []
-    for name, check in (c for suite, cs in SUITES.items() if scope in (suite, "all") for c in cs):
+    suites = _suites(product_rows(ctx) if sweeps else None)
+    for name, check in (c for suite, cs in suites.items() if scope in (suite, "all") for c in cs):
         witness = check(ctx)
         entry = {"check": name, "status": "pass" if witness is None else "fail"}
         report.append(entry if witness is None else {**entry, "counterexample": witness})

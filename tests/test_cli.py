@@ -1,4 +1,5 @@
 import json
+import time
 
 from qgrass import FormMismatch, quantum, symmetry, verify
 from qgrass.cli import main
@@ -148,6 +149,49 @@ def test_verify_bounds_the_relation_suite(capsys):
     assert code == 1 and out == "" and "2^31" in err
 
 
+def test_verify_bounds_the_basis_before_counting_it(capsys):
+    # C(10^6, 5 * 10^5) has over 300,000 digits; the cap check must neither form nor print it.
+    code, out, err = run(capsys, "verify", "--k", "500000", "--n", "1000000")
+    assert code == 1 and out == "" and "cap" in err and "Traceback" not in err
+    assert len(err) < 200
+
+
+def test_gw_bounds_the_niltl_backend(capsys):
+    # schubert_op(sigma_11) builds h_1 .. h_k; words * N: Gr(3,18) 987 * 816 is under 2^20,
+    # Gr(3,19) 1159 * 969 is above it, and Gr(5,18) 12615 * 8568 far above.
+    argv = ("gw", "--lambda", "2,1", "--mu", "1", "--nu", "1,1")
+    code, out, _ = run(capsys, *argv, "--k", "3", "--n", "18", "--backend", "niltl")
+    assert code == 0 and out.strip() == "d=0: value=1"
+    for backend in ("niltl", "all"):
+        code, out, err = run(capsys, *argv, "--k", "3", "--n", "19", "--backend", backend)
+        assert code == 1 and out == "" and "2^20" in err
+    code, out, _ = run(capsys, *argv, "--k", "3", "--n", "19", "--backend", "bcf")
+    assert code == 0 and out.strip() == "d=0: value=1"
+    code, out, err = run(capsys, *argv, "--k", "5", "--n", "18", "--backend", "niltl")
+    assert code == 1 and out == "" and "2^20" in err
+    # Without a feasible degree no operator is built, so nothing is refused.
+    argv = ("gw", "--k", "5", "--n", "18", "--lambda", "1", "--mu", "1", "--nu", "1,1")
+    code, out, _ = run(capsys, *argv, "--backend", "niltl")
+    assert code == 0 and "no feasible degree" in out
+    # A one-row nu builds h_(nu_1) alone: n words on C(n, 2) classes, though h_2 would
+    # put Gr(2,46) at 1081 * 1035, above 2^20.
+    argv = ("gw", "--k", "2", "--lambda", "1,1", "--mu", "1", "--nu", "1", "--backend", "niltl")
+    for n in ("14", "46"):
+        code, out, _ = run(capsys, *argv, "--n", n)
+        assert code == 0 and out.strip() == "d=0: value=1", n
+
+
+def test_qprod_in_a_tall_box(capsys):
+    # The work follows the rows of the factors, not the height k of the box.
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "qprod", "--k", "20000", "--n", "40000", "--lambda", "2,1", "--mu", "1"
+    )
+    elapsed = time.perf_counter() - started
+    assert code == 0 and out.strip() == "s[3,1] + s[2,2] + s[2,1,1]"
+    assert elapsed < 5.0, f"qprod in Gr(20000, 40000) took {elapsed:.3f}s"
+
+
 def test_gw_no_feasible_degree(capsys):
     argv = ("gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1", "--nu", "1")
     code, out, _ = run(capsys, *argv)
@@ -213,6 +257,31 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()
+
+
+def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
+    # both triple sweeps read one table; scopes without them build none
+    builds = []
+    real = verify.product_rows
+    monkeypatch.setattr(verify, "product_rows", lambda ctx: builds.append(ctx) or real(ctx))
+    for scope, count in (("backends", 0), ("intervals", 0), ("symmetries", 1), ("all", 1)):
+        builds.clear()
+        code, _, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", scope)
+        assert code == 0 and len(builds) == count, scope
+
+
+def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):
+    # q sigma_2 in sigma_1 * sigma_1 on Gr(2,4): the sizes fix its degree at 0, not 1.
+    real = symmetry._basis_qprod
+
+    def corrupted(ctx, a, b):
+        prod = real(ctx, a, b)
+        return {**prod, ((2,), 1): 1} if (a, b) == ((1,), (1,)) else prod
+
+    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "symmetries")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: q^1 sigma_(2,) in (1,) * (1,): wrong degree"
 
 
 def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):

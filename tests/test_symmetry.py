@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +12,7 @@ from qgrass import (
     Partition,
     check_strange_duality_pair,
     complement,
+    conjugate,
     cyclic_shift,
     diag,
     dmin_dmax,
@@ -29,7 +30,8 @@ from qgrass import (
     unit_class,
 )
 from qgrass import symmetry
-from qgrass.symmetry import hidden_symmetry_sweep, s3_symmetry_sweep
+from qgrass.partitions import basis_table
+from qgrass.symmetry import hidden_symmetry_sweep, product_rows, s3_symmetry_sweep
 
 C24 = GrassContext(2, 4)
 FIG5 = (GrassContext(6, 16), Partition((9, 6, 6, 4, 3)), Partition((9, 8, 8, 7, 6, 4)))
@@ -213,7 +215,10 @@ def test_hidden_symmetry():
                     for b in range(ctx.n):
                         assert hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
-        assert hidden_symmetry_sweep(ctx) is None
+        rows = product_rows(ctx)
+        assert hidden_symmetry_sweep(ctx, rows) is None
+        # rows that are equal but not one object compare by equality
+        assert hidden_symmetry_sweep(ctx, [tuple(list(row)) for row in rows]) is None
 
 
 def test_s3_symmetry():
@@ -226,7 +231,7 @@ def test_s3_symmetry():
                 for p in permutations((lam, mu, nu)):
                     assert gw_triple(*p, ctx) == value
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
-        assert s3_symmetry_sweep(ctx) is None
+        assert s3_symmetry_sweep(ctx, product_rows(ctx)) is None
 
 
 def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
@@ -241,10 +246,12 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
         return prod
 
     monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
-    *triple, a, b = hidden_symmetry_sweep(ctx)
+    rows = product_rows(ctx)
+    *triple, a, b = witness = hidden_symmetry_sweep(ctx, rows)
+    assert hidden_symmetry_sweep(ctx, [tuple(list(row)) for row in rows]) == witness
     lam, mu, nu = (Partition(p) for p in triple)
     assert not hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
-    triple = [Partition(p) for p in s3_symmetry_sweep(ctx)]
+    triple = [Partition(p) for p in s3_symmetry_sweep(ctx, rows)]
     assert len({gw_triple(*p, ctx) for p in permutations(triple)}) > 1
 
 
@@ -252,6 +259,7 @@ def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
     # The degree half of the sweep rests on |shift_a(x)| - |x| = n*phi(x, a) - k*a;
     # one wrong prefix statistic must raise rather than pass or name a triple.
     ctx = GrassContext(2, 5)
+    rows = product_rows(ctx)
     real = symmetry.basis_table(ctx)
     phi = [list(row) for row in real.phi]
     phi[3][2] += 1
@@ -261,7 +269,22 @@ def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
     )
     monkeypatch.setattr(symmetry, "basis_table", lambda c: fake)
     with pytest.raises(FormMismatch):
-        hidden_symmetry_sweep(ctx)
+        hidden_symmetry_sweep(ctx, rows)
+
+
+def test_product_rows_transpose_duality():
+    # Gr(k, n) and Gr(n-k, n) are isomorphic: conjugating all three indices maps
+    # one product table onto the other.
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx, dual = GrassContext(k, n), GrassContext(n - k, n)
+            parts, dual_index = basis_table(ctx).parts, basis_table(dual).index
+            conj = [dual_index[conjugate(Partition(p)).parts] for p in parts]
+            rows, dual_rows, dim = product_rows(ctx), product_rows(dual), len(parts)
+            assert len({id(row) for row in rows}) == len(set(rows))  # equal rows are one object
+            for i, j in product(range(dim), repeat=2):
+                moved = dual_rows[conj[i] * dim + conj[j]]
+                assert rows[i * dim + j] == tuple(moved[c] for c in conj), (ctx, i, j)
 
 
 def test_strange_duality_transport():
