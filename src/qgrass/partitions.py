@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -247,12 +248,23 @@ def phi(lam: Partition, ctx: GrassContext, i: int) -> int:
     return _phi_table(lam.parts, ctx.k, ctx.n)[r] + q * ctx.k
 
 
+@lru_cache(maxsize=None)
+def _diag_table(parts: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    # Row r holds the diagonals 1 - r .. parts[r] - r: one difference-array
+    # interval each, stored at index diagonal + k.
+    steps = [0] * (n + 2)
+    for r, p in enumerate(parts, start=1):
+        steps[k + 1 - r] += 1
+        steps[k + 1 - r + p] -= 1
+    return tuple(accumulate(steps[: n + 1]))
+
+
 def diag(lam: Partition, ctx: GrassContext, i: int) -> int:
     """Number of cells (r, c) of lam with c - r = i, for -k <= i <= n-k."""
     ctx.require_fits(lam)
     if not (-ctx.k <= i <= ctx.cols):
         raise IndexOutOfRange(f"diagonal index {i} outside [{-ctx.k}, {ctx.cols}]")
-    return sum(1 for r in range(max(1, 1 - i), ctx.k + 1) if lam.part(r) >= r + i)
+    return _diag_table(lam.parts, ctx.k, ctx.n)[i + ctx.k]
 
 
 def graded_key(parts: tuple[int, ...]) -> tuple:

@@ -299,8 +299,11 @@ def gw_invariant(
     Backends: "bcf" (ring product and rim-hook reduction), "toric" (signed
     Kostka sums), "niltl" (operator determinant).
     """
+    k, cols = ctx.k, ctx.n - ctx.k
     for p in (mu, nu, lam):
-        ctx.require_fits(p)
+        parts = p.parts
+        if len(parts) > k or (parts and parts[0] > cols):
+            ctx.require_fits(p)
     if d < 0 or lam.size != mu.size + nu.size - d * ctx.n:
         return 0
     if backend == "bcf":

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .cylindric import EMPTY, make_shape
-from .errors import NotContained, VarMismatch
+from .errors import NotContained, QGrassError, VarMismatch
 from .partitions import (
     GrassContext,
     Partition,
@@ -28,7 +27,7 @@ from .partitions import (
     graded_key,
     masked_step,
 )
-from .tableaux import grow_chains
+from .tableaux import grow_chains, loop_ids
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def _merge_counts(acc: dict, more: dict) -> dict:
     return acc
 
 
-def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars: int):
+def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nvars: int):
     """Yield (nu, chains) for each nu of _partitions_into(size, nvars, cols), in order.
 
     The coefficient of s_nu in lam/d/mu is the sum over w of
@@ -285,8 +284,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars
     horizontal strip of nu_i - i + j cells.  (In more variables a row
     i > len(nu) is the empty strip on the diagonal and zero left of it, so
     only permutations fixing it survive.)  chains is that determinant's
-    full-mask chain DP from mu at offset 0, or None if it is zero; its count
-    at (lam, d) is the coefficient, for every lam at once.
+    full-mask chain DP from mu at offset 0, keeping offsets up to dmax, or
+    None if it is zero; its count at the state of lam[d] is the
+    coefficient, for every lam and every d <= dmax at once.
 
     The Laplace states after rows 1..r depend on nu_1..nu_r only, and the nu
     come in lexicographic order, so each prefix is expanded once for all its
@@ -296,8 +296,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars
     Later rows have parts at most v, so they start at column r + 1 - v or
     right of it: row r leaves no column left of that free.
     """
+    loops = loop_ids(k, cols)
     # path[r]: the Laplace states after rows 1..r of the current nu.
-    path = [{0: {(mu, 0): 1}}]
+    path = [{0: {loops.state(mu, 0): 1}}]
     prev: tuple[int, ...] = ()
     for nu in _partitions_into(size, nvars, cols):
         r = 0
@@ -310,7 +311,7 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars
             left -= v
 
             def entry(chains, i, j, sign):
-                return grow_chains(chains, v - i + j, d, k, cols, sign) or None
+                return grow_chains(chains, v - i + j, dmax, loops, sign) or None
 
             columns = range(max(1, i - v), min(nvars, i + left, cols + i - v) + 1)
             need = (1 << max(0, i - v)) - 1
@@ -319,9 +320,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], d: int, size: int, nvars
         prev = nu
 
 
-# (k, n, mu, d, |nu|, nvars) -> {lam: the coefficient of every nu of the
+# (k, n, mu, |nu|, nvars) -> {(lam, d): the coefficient of every nu of the
 # walk, aligned with its _partitions_into order}.
-_TORIC_CACHE: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
+_TORIC_CACHE: dict[tuple, dict[tuple[tuple[int, ...], int], tuple[int, ...]]] = {}
 
 
 def _toric_coefficients(
@@ -332,23 +333,33 @@ def _toric_coefficients(
     A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
     of the first determinant row is zero.  Only nu with nu_1 <= n-k are
     visited, at most the partitions in an nvars x (n-k) box, whatever d is.
-    One walk serves every lam with the same mu, d and |nu|.
+
+    Offsets never decrease along a chain, and a loop at offset e after
+    |nu| cells has |mu| + |nu| - e*n cells, so every chain of the walk ends
+    at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
+    (lam, d) with the same mu and |nu|.  An empty shape lam/d/mu needs no
+    test: no chain reaches lam[d], so its row is missing.
     """
-    shape = make_shape(lam, d, mu, ctx)
-    if shape is EMPTY:
+    if d < 0:
+        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
+    size = lam.size + d * ctx.n - mu.size
+    if size < 0:
         return {}
-    key = (ctx.k, ctx.n, mu.parts, d, shape.size, nvars)
-    nus = _partitions_into(shape.size, nvars, ctx.cols)
+    key = (ctx.k, ctx.n, mu.parts, size, nvars)
+    nus = _partitions_into(size, nvars, ctx.cols)
     group = _TORIC_CACHE.get(key)
     if group is None:
-        rows: dict[tuple[int, ...], list[int]] = {}
-        walk = _toric_walk(ctx.k, ctx.cols, mu.parts, d, shape.size, nvars)
+        loops = loop_ids(ctx.k, ctx.cols)
+        rows: dict[int, list[int]] = {}
+        walk = _toric_walk(ctx.k, ctx.cols, mu.parts, (mu.size + size) // ctx.n, size, nvars)
         for t, (_, chains) in enumerate(walk):
-            for (end, off), c in (chains or {}).items():
-                if off == d and c:
-                    rows.setdefault(end, [0] * len(nus))[t] = c
-        group = _TORIC_CACHE[key] = {end: tuple(row) for end, row in rows.items()}
-    row = group.get(lam.parts)
+            for state, c in (chains or {}).items():
+                if c:
+                    rows.setdefault(state, [0] * len(nus))[t] = c
+        group = _TORIC_CACHE[key] = {
+            loops.loop(state): tuple(row) for state, row in rows.items()
+        }
+    row = group.get((lam.parts, d))
     return {} if row is None else {nu: c for nu, c in zip(nus, row) if c}
 
 
@@ -382,5 +393,7 @@ def toric_gw_table(
     key = (ctx.k, ctx.n, lam.parts, d, mu.parts)
     table = _GW_TABLE_CACHE.get(key)
     if table is None:
+        ctx.require_fits(lam)
+        ctx.require_fits(mu)
         table = _GW_TABLE_CACHE[key] = _toric_coefficients(lam, d, mu, ctx, ctx.k)
     return table

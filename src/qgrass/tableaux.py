@@ -2,7 +2,8 @@
 
 Semi-standard cylindric tableaux are encoded as chains of loops where each
 consecutive quotient is a horizontal strip; the entry i occupies the i-th
-strip.  Counting tableaux therefore reduces to counting chains.
+strip.  Counting tableaux therefore reduces to counting chains.  The chain
+DP keeps each loop as one int: its offset above an id interned per (k, n-k).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .cylindric import EMPTY, CylindricLoop, CylindricShape, Direction, make_shape
+from .cylindric import CylindricLoop, CylindricShape, Direction
 from .errors import QGrassError
 from .partitions import GrassContext, Partition
 
@@ -82,20 +83,75 @@ class TableauChain:
     weights: tuple[int, ...]
 
 
-def grow_chains(chains: dict, size: int, d: int, k: int, cols: int, sign: int = 1) -> dict:
+# A chain state is one int, offset << _ID_BITS | loop id.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+class LoopIds:
+    """The loops of one (k, n-k) as interned ids, in the order first reached.
+
+    Only the loops some chain reaches get an id, so a context too large to
+    enumerate costs what its chains visit.  successors[size][id] holds, for
+    each loop one horizontal strip of that size above the loop, the state of
+    that loop at its offset increase, so a state steps to a successor by one
+    addition.  The rows come from _strip_successors_raw on first use.
+    """
+
+    def __init__(self, k: int, cols: int):
+        self.k, self.cols = k, cols
+        self.id: dict[tuple[int, ...], int] = {}
+        self.parts: list[tuple[int, ...]] = []
+        self.successors: list[dict[int, tuple[int, ...]]] = [{} for _ in range(cols + 1)]
+
+    def state(self, parts: tuple[int, ...], offset: int) -> int:
+        """The state of the loop parts[offset]."""
+        found = self.id.get(parts)
+        if found is None:
+            found = self.id[parts] = len(self.parts)
+            self.parts.append(parts)
+        return offset << _ID_BITS | found
+
+    def loop(self, state: int) -> tuple[tuple[int, ...], int]:
+        """(base parts, offset) of a state."""
+        return self.parts[state & _ID_MASK], state >> _ID_BITS
+
+    def fill(self, loop: int, size: int) -> tuple[int, ...]:
+        # The raw enumerator is called bare: this row is the only copy kept.
+        raw = _strip_successors_raw.__wrapped__(
+            self.parts[loop], self.k, self.cols, size, "horizontal"
+        )
+        row = self.successors[size][loop] = tuple(self.state(p, dinc) for p, dinc in raw)
+        return row
+
+
+@lru_cache(maxsize=None)
+def loop_ids(k: int, cols: int) -> LoopIds:
+    return LoopIds(k, cols)
+
+
+def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) -> dict:
     """One step of the strip-chain DP: add a horizontal strip of the given size.
 
-    chains maps a chain's last loop, as (base parts, offset), to a signed
-    count of chains; each count, times sign, passes to every loop one strip
-    above whose offset stays at most d.
+    chains maps a chain's last loop, as a state int, to a signed count of
+    chains; each count, times sign, passes to every loop one strip above
+    whose offset stays at most d.  The size is between 0 and n-k.
     """
     out = {}
-    for (base, off), count in chains.items():
-        count *= sign
-        for parts, dinc in _strip_successors_raw(base, k, cols, size, "horizontal"):
-            if off + dinc <= d:
-                key = (parts, off + dinc)
-                out[key] = out.get(key, 0) + count
+    table = loops.successors[size]
+    limit = (d + 1) << _ID_BITS
+    for state, count in chains.items():
+        loop = state & _ID_MASK
+        row = table.get(loop)
+        if row is None:
+            row = loops.fill(loop, size)
+        state -= loop
+        if sign < 0:
+            count = -count
+        for step in row:
+            t = state + step
+            if t < limit:
+                out[t] = out.get(t, 0) + count
     return out
 
 
@@ -109,20 +165,22 @@ def quantum_kostka(
     """Number of semi-standard cylindric tableaux of shape lam/d/mu and weight beta.
 
     Compositions with negative entries, entries above n-k, or the wrong total
-    count zero tableaux.
+    count zero tableaux; so does an empty shape, which no chain reaches.
     """
     ctx.require_fits(lam)
     ctx.require_fits(mu)
     beta = tuple(beta)
     if any(b < 0 or b > ctx.cols for b in beta):
         return 0
-    shape = make_shape(lam, d, mu, ctx)
-    if shape is EMPTY or sum(beta) != shape.size:
+    if d < 0:
+        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
+    if sum(beta) != lam.size + d * ctx.n - mu.size:
         return 0
-    chains = {(mu.parts, 0): 1}
+    loops = loop_ids(ctx.k, ctx.cols)
+    chains = {loops.state(mu.parts, 0): 1}
     for size in beta:
-        chains = grow_chains(chains, size, d, ctx.k, ctx.cols)
-    return chains.get((lam.parts, d), 0)
+        chains = grow_chains(chains, size, d, loops)
+    return chains.get(loops.state(lam.parts, d), 0)
 
 
 def enumerate_tableaux(shape: CylindricShape, max_entry: int) -> Iterator[TableauChain]:

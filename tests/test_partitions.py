@@ -119,6 +119,16 @@ def test_diag():
         diag(FIG1, CTX, 7)
 
 
+def test_diag_profile_counts_the_cells_of_every_diagonal():
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            for lam in enumerate_pkn(ctx):
+                cells = [c - r for r, p in enumerate(lam.parts, start=1) for c in range(1, p + 1)]
+                for i in range(-k, n - k + 1):
+                    assert diag(lam, ctx, i) == cells.count(i), (ctx, lam, i)
+
+
 def test_enumerate_pkn():
     assert [p.parts for p in enumerate_pkn(GrassContext(1, 3))] == [(), (1,), (2,)]
     assert len(enumerate_pkn(GrassContext(2, 4))) == 6

@@ -271,6 +271,16 @@ def test_boundary_validation():
     assert schubert_class(Partition((1,)), C24, -1).localized
 
 
+def test_gw_invariant_refuses_a_partition_outside_the_box():
+    ctx = GrassContext(2, 5)
+    fits, wide, tall = Partition((1,)), Partition((4,)), Partition((1, 1, 1))
+    for backend in ("bcf", "toric", "niltl"):
+        for bad in (wide, tall):
+            for args in ((bad, fits, fits), (fits, bad, fits), (fits, fits, bad)):
+                with pytest.raises(DoesNotFitBox, match="does not fit the 2 x 3 box"):
+                    gw_invariant(*args, 0, ctx, backend=backend)
+
+
 def reference_product(f, g):
     """The bilinear sum over _basis_qprod, each term in a new Partition."""
     acc = {}

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,7 @@ from qgrass import (
     GrassContext,
     NotContained,
     Partition,
+    QGrassError,
     SchurExpansion,
     VarMismatch,
     complement,
@@ -258,10 +260,13 @@ def _counting_grow_chains(monkeypatch):
     return calls
 
 
-def test_toric_tables_share_one_walk_per_mu_d_and_size(monkeypatch):
-    # The walk for (mu, d, |nu|) reads every lam at its leaves, so only the
-    # first lam of a group with a nonempty shape grows chains; and it takes
-    # one determinant row step per prefix of the nu it visits.
+def test_toric_tables_share_one_walk_per_mu_and_size(monkeypatch):
+    # The walk for (mu, |nu|) keeps every offset a chain of |nu| cells can
+    # reach, so it reads every (lam, d) with |lam| + d*n = |mu| + |nu| at its
+    # leaves: across all d, only the first table asked of such a group grows
+    # chains (an empty shape first in its group included, as no shape test
+    # runs before the walk); and the walk takes one determinant row step per
+    # prefix of the nu it visits.
     calls = _counting_grow_chains(monkeypatch)
     steps = []
     real_step = schur.masked_step
@@ -273,28 +278,48 @@ def test_toric_tables_share_one_walk_per_mu_d_and_size(monkeypatch):
     monkeypatch.setattr(schur, "masked_step", counting_step)
     ctx = GrassContext(3, 6)
     basis = enumerate_pkn(ctx)
+    spans = set()
     for mu in basis:
+        groups = {}
         for d in range(ctx.k + 1):
-            groups = {}
             for lam in basis:
-                groups.setdefault(lam.size + d * ctx.n - mu.size, []).append(lam)
-            for size, lams in groups.items():
-                grew = []
-                for lam in lams:
-                    before, steps_before = len(calls), len(steps)
-                    table = toric_gw_table(lam, d, mu, ctx)
-                    if len(calls) > before:
-                        grew.append(lam)
-                        nus = _partitions_into(size, ctx.k, ctx.cols)
-                        prefixes = {nu[:r] for nu in nus for r in range(1, len(nu) + 1)}
-                        assert len(steps) - steps_before == len(prefixes), (lam, d, mu)
-                    bcf = {nu.parts: gw_invariant(mu, nu, lam, d, ctx) for nu in basis}
-                    assert table == {nu: c for nu, c in bcf.items() if c}, (lam, d, mu)
-                if 0 < size <= ctx.k * ctx.cols:
-                    nonempty = [lam for lam in lams if make_shape(lam, d, mu, ctx) is not EMPTY]
-                    assert grew == nonempty[:1], (mu, d, size)
-                else:
-                    assert grew == [], (mu, d, size)
+                groups.setdefault(lam.size + d * ctx.n - mu.size, []).append((lam, d))
+        for size, pairs in groups.items():
+            grew = []
+            for lam, d in pairs:
+                before, steps_before = len(calls), len(steps)
+                table = toric_gw_table(lam, d, mu, ctx)
+                if len(calls) > before:
+                    grew.append((lam, d))
+                    nus = _partitions_into(size, ctx.k, ctx.cols)
+                    prefixes = {nu[:r] for nu in nus for r in range(1, len(nu) + 1)}
+                    assert len(steps) - steps_before == len(prefixes), (lam, d, mu)
+                bcf = {nu.parts: gw_invariant(mu, nu, lam, d, ctx) for nu in basis}
+                assert table == {nu: c for nu, c in bcf.items() if c}, (lam, d, mu)
+            if 0 < size <= ctx.k * ctx.cols:
+                assert grew == pairs[:1], (mu, size)
+                nonempty = {d for lam, d in pairs if make_shape(lam, d, mu, ctx) is not EMPTY}
+                spans.add(len(nonempty))
+            else:
+                assert grew == [], (mu, size)
+    # Some walks serve nonempty shapes of two different d.
+    assert max(spans) == 2
+
+
+def test_toric_route_never_enumerates_a_large_basis(monkeypatch):
+    # Gr(20, 40) has C(40, 20) classes; the toric route has no work bound,
+    # so it must only visit the loops its chains reach.
+    def refuse(ctx):
+        raise AssertionError(f"basis of {ctx} enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qgrass") and hasattr(module, "basis_table"):
+            monkeypatch.setattr(module, "basis_table", refuse)
+    ctx = GrassContext(20, 40)
+    one, lam = Partition((1,)), Partition((2, 1))
+    assert gw_invariant(one, Partition((1, 1)), lam, 0, ctx, backend="toric") == 1
+    assert str(toric_schur_expand(lam, 0, one, ctx, 3)) == "s[2] + s[1,1]"
+    assert quantum_kostka(lam, 0, one, (1, 1), ctx) == 2
 
 
 def test_toric_expand_work_stops_growing_past_the_shape_size(monkeypatch):
@@ -322,6 +347,9 @@ def test_toric_expand_rejects_negative_nvars():
     for d in (0, 1):
         with pytest.raises(VarMismatch, match="nvars must be >= 0, got -1"):
             toric_schur_expand(Partition(), d, Partition(), GrassContext(1, 3), -1)
+    # A negative d is refused before any size test.
+    with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
+        toric_schur_expand(Partition((2,)), -1, Partition(), GrassContext(1, 3), 2)
 
 
 def test_toric_expand_stabilizes_in_nvars():

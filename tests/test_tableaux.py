@@ -9,6 +9,7 @@ from qgrass import (
     DoesNotFitBox,
     GrassContext,
     Partition,
+    QGrassError,
     enumerate_pkn,
     enumerate_tableaux,
     is_strip,
@@ -85,6 +86,8 @@ def test_quantum_kostka_zero_rules():
     assert quantum_kostka(lam, 0, mu, (1,), C24) == 0  # wrong total
     with pytest.raises(DoesNotFitBox):
         quantum_kostka(Partition((5,)), 0, mu, (1,), C24)
+    with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
+        quantum_kostka(lam, -1, mu, (1,), C24)
 
 
 def test_quantum_kostka_classical_reduction():
