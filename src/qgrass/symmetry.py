@@ -8,14 +8,19 @@ independent ways and cross-checked.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .errors import FormMismatch
 from .partitions import (
     GrassContext,
     Partition,
+    _bits_to_parts,
+    _diag_table,
+    _phi_table,
+    _word_bits,
     basis_table,
     complement,
     cyclic_shift,
@@ -88,18 +93,22 @@ def dmin_dmax(lam: Partition, mu: Partition, ctx: GrassContext) -> PowerInterval
     ctx.require_fits(mu)
     n, k = ctx.n, ctx.k
     # phi(i + n) = phi(i) + k makes both objective functions n-periodic in i,
-    # so scanning one window of n consecutive shifts is exhaustive.
-    lo = -min(phi(lam, ctx, i) + phi(mu, ctx, -i) for i in range(n))
-    hi = -max(phi(lam, ctx, i) + phi(mu, ctx, k - n - i) for i in range(n))
+    # so scanning one window of n consecutive shifts is exhaustive.  It also gives
+    # phi(mu, m) for m in 0..2n from the table of 0..n, and so phi(mu, -i) =
+    # ext[n - i] - k and phi(mu, k - n - i) = ext[k + n - i] - 2k for i in 0..n-1.
+    phi_lam, phi_mu = _phi_table(lam.parts, k, n), _phi_table(mu.parts, k, n)
+    ext = phi_mu + tuple(p + k for p in phi_mu[1:])
+    lo = k - min(map(add, phi_lam, ext[n:0:-1]))
+    hi = 2 * k - max(map(add, phi_lam, ext[k + n:k:-1]))
 
-    mu_c = complement(mu, ctx)
-    lam_s = cyclic_shift(lam, ctx, k)
-    lo_diag = max(
-        diag(lam, ctx, i) - diag(mu_c, ctx, i) for i in range(-k, ctx.cols + 1)
-    )
-    hi_diag = diag(lam, ctx, 0) - max(
-        diag(mu_c, ctx, i) - diag(lam_s, ctx, i) for i in range(-k, ctx.cols + 1)
-    )
+    # The complement of mu reverses its word; the shift of lam by k rotates it left by k.
+    # Diagonal tables run over the indices -k..n-k.
+    word = _word_bits(lam.parts, k, n)
+    diag_lam = _diag_table(lam.parts, k, n)
+    diag_mu_c = _diag_table(_bits_to_parts(_word_bits(mu.parts, k, n)[::-1], k), k, n)
+    diag_lam_s = _diag_table(_bits_to_parts(word[k:] + word[:k], k), k, n)
+    lo_diag = max(map(sub, diag_lam, diag_mu_c))
+    hi_diag = diag_lam[k] - max(map(sub, diag_mu_c, diag_lam_s))
     if (lo, hi) != (lo_diag, hi_diag):
         raise FormMismatch(
             f"prefix form ({lo},{hi}) and diagonal form ({lo_diag},{hi_diag}) disagree"
@@ -207,6 +216,11 @@ def product_rows(ctx: GrassContext) -> list[tuple[int, ...]]:
     return rows
 
 
+def row_pool(rows: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each distinct row object of a table, mapped to itself: a pool that more rows can join."""
+    return {row: row for row in {id(row): row for row in rows}.values()}
+
+
 def s3_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
     """gw_triple(i, j, l) = rows[i*N + j][complement[l]] is invariant under permuting the triple.
 
@@ -238,7 +252,7 @@ def hidden_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tup
     # Entry m of a row moved by c is entry comp(shift_c(comp m)); 1 <= k < n gives N >= 2, so
     # the gather returns a tuple, as the rows are.  Each distinct row moves once per c, to its
     # equal row or None, so a match is an identity.
-    pool = {row: row for row in {id(row): row for row in rows}.values()}
+    pool = row_pool(rows)
     gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
     movers = [(g, {id(row): pool.get(g(row)) for row in pool.values()}) for g in gathers]
     for a, b in product(range(n), repeat=2):
@@ -250,6 +264,77 @@ def hidden_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tup
                     l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
                     return (table.parts[i], table.parts[j], table.parts[l], a, b)
     return None
+
+
+def _duality_sweep(
+    ctx: GrassContext,
+    rows: list[tuple[int, ...]],
+    pair: Sequence[int],
+    entry: Sequence[int],
+    defect: Sequence[int],
+    offset: Callable[[int, int], int],
+) -> tuple | None:
+    """Row (pair[i], pair[j]) must be row (i, j) with entry l moved to entry[l], for i <= j.
+
+    The q-degrees of the two sides agree at a nonzero entry l exactly when
+    defect[l] == offset(i, j).  When defect is zero on every class, so is offset, and only
+    rows are compared, each distinct row moved once; otherwise every pair also tests the
+    degrees of its nonzero entries.  Gives the first failing (lam, mu) as parts tuples, or None.
+    """
+    table = basis_table(ctx)
+    dim = len(table.parts)
+    source = [0] * dim
+    for l, m in enumerate(entry):
+        source[m] = l
+    # 1 <= k < n gives N >= 2, so the gather returns a tuple, as the rows are.
+    gather = itemgetter(*source)
+    pool = row_pool(rows)
+    moved = {id(row): pool.get(gather(row)) for row in pool.values()}
+    exact = not any(defect)
+    for i in range(dim):
+        for j in range(i, dim):
+            row, target = rows[i * dim + j], rows[pair[i] * dim + pair[j]]
+            if (moved.get(id(row)) is not target and gather(row) != target) or (
+                not exact and any(c and defect[l] != offset(i, j) for l, c in enumerate(row))
+            ):
+                return (table.parts[i], table.parts[j])
+    return None
+
+
+def strange_transport_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
+    """check_strange_duality_pair on every pair i <= j, read off the product rows.
+
+    Entry p of row (i, j) moves to entry comp(nu), nu = shift_(-k)(p), of row (comp i, comp j).
+    The degrees agree when n*diag_0(nu) = k(n-k) + |nu| - |p| for every class p; where that
+    fails, every pair with a nonzero entry at p fails as well.  Gives the first failing
+    (lam, mu), or None.
+    """
+    table = basis_table(ctx)
+    n, size, comp = ctx.n, table.size, table.complement
+    nu = [shift[-ctx.k % n] for shift in table.shift]
+    d0 = [diag(table.partition[table.parts[x]], ctx, 0) for x in nu]
+    top = ctx.k * ctx.cols
+    defect = [n * d0[p] - top - size[nu[p]] + size[p] for p in range(len(nu))]
+    return _duality_sweep(ctx, rows, comp, [comp[x] for x in nu], defect, lambda i, j: 0)
+
+
+def strange_multiplicative_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
+    """strange_duality(a * b) = strange_duality(a) * strange_duality(b) on every basis pair i <= j.
+
+    The duality sends sigma_x to q^(-diag_0(x)) sigma_(t x), t(x) = shift_(n-k)(comp x), so
+    row (t i, t j) must be row (i, j) moved by t.  The degrees agree at a nonzero entry p when
+    g(i) + g(j) = g(p), g(x) = |t x| + |x| - n*diag_0(x), which the shift identity of the
+    hidden sweep turns into n*(phi(comp x, n-k) - diag_0(x)).  Gives the first failing
+    (lam, mu), or None.
+    """
+    table = basis_table(ctx)
+    n, size = ctx.n, table.size
+    image = [table.shift[c][ctx.cols] for c in table.complement]
+    defect = [
+        size[image[x]] + size[x] - n * diag(table.partition[p], ctx, 0)
+        for x, p in enumerate(table.parts)
+    ]
+    return _duality_sweep(ctx, rows, image, image, defect, lambda i, j: defect[i] + defect[j])
 
 
 def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext) -> bool:

@@ -135,12 +135,15 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) 
 
     chains maps a chain's last loop, as a state int, to a signed count of
     chains; each count, times sign, passes to every loop one strip above
-    whose offset stays at most d.  The size is between 0 and n-k.
+    whose offset stays at most d.  A count that has cancelled to 0 passes
+    nothing.  The size is between 0 and n-k.
     """
     out = {}
     table = loops.successors[size]
     limit = (d + 1) << _ID_BITS
     for state, count in chains.items():
+        if not count:
+            continue
         loop = state & _ID_MASK
         row = table.get(loop)
         if row is None:

@@ -1,20 +1,21 @@
 """Exhaustive identity suites over the whole basis of one context.
 
-Every check maps a context to None when its identity holds on every item,
-and otherwise to its first counterexample, built from parts tuples and ints.
-The work of a run is bounded from (k, n) alone, before any of it is done.
+Every check maps a context and its pooled product table to None when its
+identity holds on every item, and otherwise to its first counterexample,
+built from parts tuples and ints.  The work of a run is bounded from (k, n)
+alone, before any of it is done.
 """
 
 from __future__ import annotations
 
 from .errors import QGrassError
-from .niltl import verify_relations
-from .partitions import GrassContext, box_partitions_by_size, enumerate_pkn
-from .quantum import BACKENDS, giambelli_class, gw_invariant, quantum_product, schubert_class
-from .schur import lr_coefficient
+from .niltl import schubert_op, verify_relations
+from .partitions import GrassContext, basis_table, box_partitions_by_size, enumerate_pkn
+from .quantum import giambelli_class, schubert_class
+from .schur import _lr_count, toric_gw_table
 from .symmetry import (
-    check_strange_duality_pair, dmin_dmax, hidden_symmetry_sweep, product_rows, q_power_set,
-    s3_symmetry_sweep, strange_duality,
+    dmin_dmax, hidden_symmetry_sweep, product_rows, row_pool, s3_symmetry_sweep,
+    strange_multiplicative_sweep, strange_transport_sweep,
 )
 
 # Bounds the basis size N.
@@ -24,67 +25,135 @@ MAX_RELATION_WORK = 2**20
 # Bounds the triple sweeps: the hidden sweep compares N^3 invariants for n^2 shifts.
 MAX_SWEEP_WORK = 2**31
 
-
-def _basis_pairs(ctx: GrassContext) -> list[tuple]:
-    basis = enumerate_pkn(ctx)
-    return [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
+Rows = list[tuple[int, ...]]
 
 
-def check_backends(ctx: GrassContext) -> tuple | None:
-    """The three backends agree and are nonnegative: (mu, nu, lam, d, values)."""
-    for mu, nu in _basis_pairs(ctx):
-        total = mu.size + nu.size
-        for d in range(total // ctx.n + 1):
-            for lam in box_partitions_by_size(ctx, total - d * ctx.n):
-                values = tuple(gw_invariant(mu, nu, lam, d, ctx, b) for b in BACKENDS)
-                if len(set(values)) != 1 or values[0] < 0:
-                    return (mu.parts, nu.parts, lam.parts, d, values)
+def _negative(rows: Rows) -> set[int]:
+    """The ids of the rows that hold a negative entry, each distinct row tested once."""
+    return {key for key, row in {id(row): row for row in rows}.items() if min(row) < 0}
+
+
+def _toric_rows(ctx: GrassContext, pool: dict) -> list:
+    """Row i*N + j holds toric_gw_table(lam_l, d, mu_i)[nu_j] at l, for |nu_j| >= |mu_i|.
+
+    One block per mu; the rows with |nu_j| < |mu_i| are None.  Rows join the pool.
+    """
+    table = basis_table(ctx)
+    parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
+    zero = [0] * dim
+    out = [None] * (dim * dim)
+    for i, mu in enumerate(enumerate_pkn(ctx)):
+        block: dict[tuple[int, ...], list[int]] = {}
+        for total in range(2 * size[i], size[i] + ctx.k * ctx.cols + 1):
+            for d in range(total // n + 1):
+                for lam in box_partitions_by_size(ctx, total - d * n):
+                    l = index[lam.parts]
+                    for nu, c in toric_gw_table(lam, d, mu, ctx).items():
+                        block.setdefault(nu, [0] * dim)[l] = c
+        for j in range(dim):
+            if size[j] >= size[i]:
+                row = tuple(block.get(parts[j], zero))
+                out[i * dim + j] = pool.setdefault(row, row)
+    return out
+
+
+def _niltl_rows(ctx: GrassContext, pool: dict) -> list:
+    """Row i*N + j holds schubert_op(nu_j).rows[l][i] at each l where |mu_i| + |nu_j| - |lam_l|
+    is a nonnegative multiple of n, and zero elsewhere.
+
+    As in gw_invariant, an operator whose degree is not |nu_j| gives a zero block.  One block
+    per nu; rows join the pool.
+    """
+    table = basis_table(ctx)
+    size, n, dim = table.size, ctx.n, len(table.parts)
+    out = [None] * (dim * dim)
+    for j, nu in enumerate(enumerate_pkn(ctx)):
+        op = schubert_op(nu, ctx)
+        block = [[0] * dim for _ in range(dim)]
+        if op.degree == size[j]:
+            for l, entries in enumerate(op.rows):
+                for i, c in entries.items():
+                    excess = size[i] + size[j] - size[l]
+                    if excess >= 0 and excess % n == 0:
+                        block[i][l] = c
+        for i, row in enumerate(block):
+            row = tuple(row)
+            out[i * dim + j] = pool.setdefault(row, row)
+    return out
+
+
+def check_backends(ctx: GrassContext, rows: Rows) -> tuple | None:
+    """The three backends agree and are nonnegative: (mu, nu, lam, d, (bcf, toric, niltl)).
+
+    All three tables share one pool, so two rows agree when they are one object.  Only a
+    pair whose rows differ, or whose row is negative, is searched for its first (d, lam).
+    """
+    table = basis_table(ctx)
+    parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
+    pool = row_pool(rows)
+    tables = (rows, _toric_rows(ctx, pool), _niltl_rows(ctx, pool))
+    negative = _negative(rows)
+    for i in range(dim):
+        for j in range(i, dim):
+            p = i * dim + j
+            row = rows[p]
+            if row is tables[1][p] is tables[2][p] and id(row) not in negative:
+                continue
+            total = size[i] + size[j]
+            for d in range(total // n + 1):
+                for lam in box_partitions_by_size(ctx, total - d * n):
+                    values = tuple(t[p][index[lam.parts]] for t in tables)
+                    if len(set(values)) != 1 or values[0] < 0:
+                        return (parts[i], parts[j], lam.parts, d, values)
     return None
 
 
-def check_strange(ctx: GrassContext) -> tuple | None:
-    """check_strange_duality_pair on every pair: (lam, mu)."""
-    for lam, mu in _basis_pairs(ctx):
-        if not check_strange_duality_pair(lam, mu, ctx):
-            return (lam.parts, mu.parts)
+def check_intervals(ctx: GrassContext, rows: Rows) -> tuple | None:
+    """Both interval forms agree with the q-powers of the product row: (lam, mu).
+
+    A nonzero entry at l has q-power (|i| + |j| - |l|) / n, so the sizes of a row's
+    nonzero entries, read once per distinct row, give every q-power of its products.
+    """
+    table = basis_table(ctx)
+    basis, size, n, dim = enumerate_pkn(ctx), table.size, ctx.n, len(table.parts)
+    found: dict[int, set[int]] = {}
+    for i, lam in enumerate(basis):
+        for j in range(i, dim):
+            try:
+                interval = dmin_dmax(lam, basis[j], ctx)
+            except QGrassError:
+                return (lam.parts, basis[j].parts)
+            lo, hi = interval.dmin, interval.dmax
+            row = rows[i * dim + j]
+            sizes = found.get(id(row))
+            if sizes is None:
+                sizes = found[id(row)] = {size[l] for l, c in enumerate(row) if c}
+            total = size[i] + size[j]
+            if lo > hi or sizes != set(range(total - hi * n, total - lo * n + 1, n)):
+                return (lam.parts, basis[j].parts)
     return None
 
 
-def check_dtilde(ctx: GrassContext) -> tuple | None:
-    """strange_duality is multiplicative on every pair: (lam, mu)."""
-    for lam, mu in _basis_pairs(ctx):
-        a, b = schubert_class(lam, ctx), schubert_class(mu, ctx)
-        image = quantum_product(strange_duality(a), strange_duality(b))
-        if strange_duality(quantum_product(a, b)) != image:
-            return (lam.parts, mu.parts)
+def check_classical(ctx: GrassContext, rows: Rows) -> tuple | None:
+    """Degree-0 entries are LR coefficients and all entries nonnegative: (lam, mu)."""
+    table = basis_table(ctx)
+    parts, size, dim = table.parts, table.size, len(table.parts)
+    by_size: dict[int, list[int]] = {}
+    for l, s in enumerate(size):
+        by_size.setdefault(s, []).append(l)
+    negative = _negative(rows)
+    for i in range(dim):
+        for j in range(i, dim):
+            row = rows[i * dim + j]
+            if id(row) in negative or any(
+                row[l] != _lr_count(parts[i], parts[j], parts[l])
+                for l in by_size.get(size[i] + size[j], ())
+            ):
+                return (parts[i], parts[j])
     return None
 
 
-def check_intervals(ctx: GrassContext) -> tuple | None:
-    """Both interval forms agree with the product's q-powers: (lam, mu)."""
-    for lam, mu in _basis_pairs(ctx):
-        try:
-            members = set(dmin_dmax(lam, mu, ctx).members())
-        except QGrassError:
-            members = set()
-        if not members or q_power_set(lam, mu, ctx) != members:
-            return (lam.parts, mu.parts)
-    return None
-
-
-def check_classical(ctx: GrassContext) -> tuple | None:
-    """Degree-0 terms are LR coefficients and all terms nonnegative: (lam, mu)."""
-    for lam, mu in _basis_pairs(ctx):
-        product = quantum_product(schubert_class(lam, ctx), schubert_class(mu, ctx))
-        if any(
-            product.coefficient(nu, 0) != lr_coefficient(lam, mu, nu)
-            for nu in box_partitions_by_size(ctx, lam.size + mu.size)
-        ) or any(c < 0 for c in product.terms.values()):
-            return (lam.parts, mu.parts)
-    return None
-
-
-def check_giambelli(ctx: GrassContext) -> tuple | None:
+def check_giambelli(ctx: GrassContext, rows: Rows) -> tuple | None:
     """The Giambelli determinant of every class is the class: (lam,)."""
     for lam in enumerate_pkn(ctx):
         if giambelli_class(lam, ctx) != schubert_class(lam, ctx):
@@ -92,18 +161,17 @@ def check_giambelli(ctx: GrassContext) -> tuple | None:
     return None
 
 
-def _suites(rows: list[tuple[int, ...]] | None) -> dict:
-    return {
-        "backends": (("backend_agreement_and_nonnegativity", check_backends),),
-        "symmetries": (
-            ("s3_symmetry", lambda ctx: s3_symmetry_sweep(ctx, rows)),
-            ("hidden_cyclic_symmetry", lambda ctx: hidden_symmetry_sweep(ctx, rows)),
-            ("strange_duality_transport", check_strange),
-            ("strange_duality_multiplicative", check_dtilde),
-        ),
-        "intervals": (("q_power_interval", check_intervals),),
-        "classical": (("classical_limit", check_classical), ("giambelli", check_giambelli)),
-    }
+SUITES = {
+    "backends": (("backend_agreement_and_nonnegativity", check_backends),),
+    "symmetries": (
+        ("s3_symmetry", s3_symmetry_sweep),
+        ("hidden_cyclic_symmetry", hidden_symmetry_sweep),
+        ("strange_duality_transport", strange_transport_sweep),
+        ("strange_duality_multiplicative", strange_multiplicative_sweep),
+    ),
+    "intervals": (("q_power_interval", check_intervals),),
+    "classical": (("classical_limit", check_classical), ("giambelli", check_giambelli)),
+}
 
 
 def count_classes(ctx: GrassContext, cap: int) -> int:
@@ -120,6 +188,7 @@ def count_classes(ctx: GrassContext, cap: int) -> int:
 def run(ctx: GrassContext, scope: str) -> list[dict]:
     """The report of one scope: {check, status}, plus the counterexample of a failure.
 
+    Every scope but the relation suite builds the product table once, and its checks read it.
     Raises QGrassError, naming the bound, when the work would exceed it.
     """
     dim, n = count_classes(ctx, MAX_CLASSES), ctx.n
@@ -135,9 +204,9 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
             f"triple sweeps: N^3 * n^2 = {dim**3 * n**2} is above the bound 2^31 = {MAX_SWEEP_WORK}"
         )
     report = verify_relations(ctx) if relations else []
-    suites = _suites(product_rows(ctx) if sweeps else None)
-    for name, check in (c for suite, cs in suites.items() if scope in (suite, "all") for c in cs):
-        witness = check(ctx)
+    rows = product_rows(ctx) if scope != "relations" else None
+    for name, check in (c for suite, cs in SUITES.items() if scope in (suite, "all") for c in cs):
+        witness = check(ctx, rows)
         entry = {"check": name, "status": "pass" if witness is None else "fail"}
         report.append(entry if witness is None else {**entry, "counterexample": witness})
     return report

@@ -3,7 +3,9 @@ import time
 
 from qgrass import FormMismatch, quantum, symmetry, verify
 from qgrass.cli import main
-from qgrass.partitions import GrassContext, Partition
+from qgrass.niltl import NilTLOperator
+from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
+from qgrass.quantum import quantum_product, schubert_class
 
 
 def run(capsys, *argv):
@@ -254,17 +256,35 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     *triple, a, b = entry["counterexample"]
     lam, mu, nu = (Partition(tuple(p)) for p in triple)
     assert not symmetry.hidden_symmetry_check(lam, mu, nu, a, b, -a - b, GrassContext(2, 4))
+    # The same product as quantum_product reads it too: every check that reads the bcf
+    # product reports its first pair, and the backends their values.
+    monkeypatch.setattr(quantum, "_basis_qprod", corrupted)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "all", "--format", "json")
+    assert code == 2
+    assert [e for e in json.loads(out) if e["status"] == "fail"] == [
+        {"check": name, "status": "fail", "counterexample": witness} for name, witness in (
+            ("backend_agreement_and_nonnegativity", [[1], [1], [1, 1], 0, [2, 1, 1]]),
+            ("s3_symmetry", [[1], [1], [1, 1]]),
+            ("hidden_cyclic_symmetry", [[1], [1], [1, 1], 0, 1]),
+            ("strange_duality_transport", [[1], [1]]),
+            ("strange_duality_multiplicative", [[1], [1]]),
+            ("classical_limit", [[1], [1]]),
+        )
+    ]
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS hidden_cyclic_symmetry" in out.splitlines()
 
 
 def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
-    # both triple sweeps read one table; scopes without them build none
+    # every check but the relation suite reads one table
     builds = []
     real = verify.product_rows
     monkeypatch.setattr(verify, "product_rows", lambda ctx: builds.append(ctx) or real(ctx))
-    for scope, count in (("backends", 0), ("intervals", 0), ("symmetries", 1), ("all", 1)):
+    for scope, count in (
+        ("backends", 1), ("intervals", 1), ("classical", 1), ("symmetries", 1), ("all", 1),
+        ("relations", 0),
+    ):
         builds.clear()
         code, _, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", scope)
         assert code == 0 and len(builds) == count, scope
@@ -287,7 +307,7 @@ def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):
 def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     # sigma_1 * sigma_1 = sigma_2 + sigma_11 in Gr(2,4); the toric backend
     # reports 2 for sigma_11.
-    real = quantum.toric_gw_table
+    real = verify.toric_gw_table
 
     def corrupted(lam, d, mu, ctx):
         table = real(lam, d, mu, ctx)
@@ -296,7 +316,7 @@ def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
         return table
 
     argv = ("verify", "--k", "2", "--n", "4", "--scope", "backends")
-    monkeypatch.setattr(quantum, "toric_gw_table", corrupted)
+    monkeypatch.setattr(verify, "toric_gw_table", corrupted)
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert "FAIL backend_agreement_and_nonnegativity" in out.splitlines()
@@ -311,6 +331,102 @@ def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS backend_agreement_and_nonnegativity" in out.splitlines()
+
+
+def test_verify_fails_on_a_corrupted_niltl_entry(capsys, monkeypatch):
+    # The operator of sigma_1 on Gr(2,4) sends sigma_1 to sigma_2 + sigma_11; report 2
+    # for sigma_11.
+    real = verify.schubert_op
+
+    def corrupted(nu, ctx):
+        op = real(nu, ctx)
+        if nu.parts == (1,):
+            index = basis_table(ctx).index
+            rows = [dict(row) for row in op.rows]
+            rows[index[(1, 1)]][index[(1,)]] += 1
+            op = NilTLOperator(ctx, rows, op.degree)
+        return op
+
+    argv = ("verify", "--k", "2", "--n", "4", "--scope", "backends")
+    monkeypatch.setattr(verify, "schubert_op", corrupted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines() == [
+        "FAIL backend_agreement_and_nonnegativity",
+        "  counterexample: ((1,), (1,), (1, 1), 0, (1, 1, 2))",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out) == [{
+        "check": "backend_agreement_and_nonnegativity", "status": "fail",
+        "counterexample": [[1], [1], [1, 1], 0, [1, 1, 2]],
+    }]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == ["PASS backend_agreement_and_nonnegativity"]
+
+
+def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
+    # sigma_1 * sigma_21 = q + sigma_22 in Gr(2,4); all three backends report -1 for q.
+    real_qprod, real_toric, real_op = quantum._basis_qprod, verify.toric_gw_table, verify.schubert_op
+
+    def qprod(ctx, a, b):
+        prod = real_qprod(ctx, a, b)
+        return {**prod, ((), 1): -1} if (a, b) == ((1,), (2, 1)) else prod
+
+    def toric(lam, d, mu, ctx):
+        table = real_toric(lam, d, mu, ctx)
+        return {**table, (2, 1): -1} if (lam.parts, d, mu.parts) == ((), 1, (1,)) else table
+
+    def op(nu, ctx):
+        found = real_op(nu, ctx)
+        if nu.parts == (2, 1):
+            index = basis_table(ctx).index
+            rows = [dict(row) for row in found.rows]
+            rows[index[()]][index[(1,)]] = -1
+            found = NilTLOperator(ctx, rows, found.degree)
+        return found
+
+    for module, name, fake in (
+        (symmetry, "_basis_qprod", qprod), (quantum, "_basis_qprod", qprod),
+        (verify, "toric_gw_table", toric), (verify, "schubert_op", op),
+    ):
+        monkeypatch.setattr(module, name, fake)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "all", "--format", "json")
+    assert code == 2
+    witnesses = {e["check"]: e.get("counterexample") for e in json.loads(out)}
+    assert witnesses["backend_agreement_and_nonnegativity"] == [[1], [2, 1], [], 1, [-1, -1, -1]]
+    assert witnesses["classical_limit"] == [[1], [2, 1]]
+    assert witnesses["q_power_interval"] is None
+
+
+def test_verify_duality_degrees_fall_back_to_each_pair(capsys, monkeypatch):
+    # One wrong diag_0 breaks the per-class degree identities of both dualities; each
+    # check then names the first pair that the pointwise forms reject, and exits 2.
+    ctx = GrassContext(3, 6)
+    real = symmetry.diag
+
+    def shifted(lam, c, i):
+        return real(lam, c, i) + (lam.parts == (2, 1) and i == 0)
+
+    monkeypatch.setattr(symmetry, "diag", shifted)
+    code, out, _ = run(capsys, "verify", "--k", "3", "--n", "6", "--scope", "symmetries")
+    assert code == 2
+    assert out.splitlines()[2:] == [
+        "FAIL strange_duality_transport", "  counterexample: ((), (3, 2, 1))",
+        "FAIL strange_duality_multiplicative", "  counterexample: ((1,), (2,))",
+    ]
+    basis = enumerate_pkn(ctx)
+    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
+    transport = next(p for p in pairs if not symmetry.check_strange_duality_pair(*p, ctx))
+    assert [p.parts for p in transport] == [(), (3, 2, 1)]
+
+    def multiplicative(lam, mu):
+        a, b = schubert_class(lam, ctx), schubert_class(mu, ctx)
+        image = quantum_product(symmetry.strange_duality(a), symmetry.strange_duality(b))
+        return symmetry.strange_duality(quantum_product(a, b)) == image
+
+    assert [p.parts for p in next(p for p in pairs if not multiplicative(*p))] == [(1,), (2,)]
 
 
 def test_verify_fails_when_an_interval_form_raises(capsys, monkeypatch):
@@ -335,3 +451,14 @@ def test_verify_fails_when_an_interval_form_raises(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.splitlines() == ["PASS q_power_interval"]
+    # a q-power the interval does not hold: q in sigma_2 * sigma_2 = sigma_22
+    real_qprod = symmetry._basis_qprod
+
+    def corrupted(ctx, a, b):
+        prod = real_qprod(ctx, a, b)
+        return {**prod, ((), 1): 1} if (a, b) == ((2,), (2,)) else prod
+
+    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines() == ["FAIL q_power_interval", "  counterexample: ((2,), (2,))"]

@@ -31,7 +31,10 @@ from qgrass import (
 )
 from qgrass import symmetry
 from qgrass.partitions import basis_table
-from qgrass.symmetry import hidden_symmetry_sweep, product_rows, s3_symmetry_sweep
+from qgrass.symmetry import (
+    hidden_symmetry_sweep, product_rows, s3_symmetry_sweep, strange_multiplicative_sweep,
+    strange_transport_sweep,
+)
 
 C24 = GrassContext(2, 4)
 FIG5 = (GrassContext(6, 16), Partition((9, 6, 6, 4, 3)), Partition((9, 8, 8, 7, 6, 4)))
@@ -253,6 +256,8 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
     assert not hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
     triple = [Partition(p) for p in s3_symmetry_sweep(ctx, rows)]
     assert len({gw_triple(*p, ctx) for p in permutations(triple)}) > 1
+    lam, mu = (Partition(p) for p in strange_transport_sweep(ctx, rows))
+    assert not check_strange_duality_pair(lam, mu, ctx)
 
 
 def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
@@ -292,3 +297,9 @@ def test_strange_duality_transport():
         for lam in enumerate_pkn(ctx):
             for mu in enumerate_pkn(ctx):
                 assert check_strange_duality_pair(lam, mu, ctx)
+    for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
+        rows = product_rows(ctx)
+        for sweep in (strange_transport_sweep, strange_multiplicative_sweep):
+            assert sweep(ctx, rows) is None
+            # rows that are equal but not one object compare by equality
+            assert sweep(ctx, [tuple(list(row)) for row in rows]) is None
