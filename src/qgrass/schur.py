@@ -320,15 +320,15 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
         prev = nu
 
 
-# (k, n, mu, |nu|, nvars) -> {(lam, d): the coefficient of every nu of the
-# walk, aligned with its _partitions_into order}.
-_TORIC_CACHE: dict[tuple, dict[tuple[tuple[int, ...], int], tuple[int, ...]]] = {}
+# (k, n, mu, |nu|, nvars) -> {(lam, d): {nu: nonzero coefficient}, in walk order}; a
+# (lam, d) asked for and not reached by the walk holds {}.
+_TORIC_CACHE: dict[tuple, dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]] = {}
 
 
 def _toric_coefficients(
     lam: Partition, d: int, mu: Partition, ctx: GrassContext, nvars: int
 ) -> dict[tuple[int, ...], int]:
-    """{nu parts: nonzero coefficient of s_nu} of lam/d/mu in nvars variables.
+    """{nu parts: nonzero coefficient of s_nu} of lam/d/mu in nvars variables: the cached dict.
 
     A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
     of the first determinant row is zero.  Only nu with nu_1 <= n-k are
@@ -338,7 +338,7 @@ def _toric_coefficients(
     |nu| cells has |mu| + |nu| - e*n cells, so every chain of the walk ends
     at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
     (lam, d) with the same mu and |nu|.  An empty shape lam/d/mu needs no
-    test: no chain reaches lam[d], so its row is missing.
+    test: no chain reaches lam[d], so its row is empty.
     """
     if d < 0:
         raise QGrassError(f"offset difference d must be nonnegative, got {d}")
@@ -346,21 +346,17 @@ def _toric_coefficients(
     if size < 0:
         return {}
     key = (ctx.k, ctx.n, mu.parts, size, nvars)
-    nus = _partitions_into(size, nvars, ctx.cols)
     group = _TORIC_CACHE.get(key)
     if group is None:
         loops = loop_ids(ctx.k, ctx.cols)
-        rows: dict[int, list[int]] = {}
+        rows: dict[int, dict[tuple[int, ...], int]] = {}
         walk = _toric_walk(ctx.k, ctx.cols, mu.parts, (mu.size + size) // ctx.n, size, nvars)
-        for t, (_, chains) in enumerate(walk):
+        for nu, chains in walk:
             for state, c in (chains or {}).items():
                 if c:
-                    rows.setdefault(state, [0] * len(nus))[t] = c
-        group = _TORIC_CACHE[key] = {
-            loops.loop(state): tuple(row) for state, row in rows.items()
-        }
-    row = group.get((lam.parts, d))
-    return {} if row is None else {nu: c for nu, c in zip(nus, row) if c}
+                    rows.setdefault(state, {})[nu] = c
+        group = _TORIC_CACHE[key] = {loops.loop(state): row for state, row in rows.items()}
+    return group.setdefault((lam.parts, d), {})
 
 
 def toric_schur_expand(
@@ -380,20 +376,19 @@ def toric_schur_expand(
     return SchurExpansion(nvars, {Partition(nu): c for nu, c in coefficients.items()})
 
 
-_GW_TABLE_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
-
-
 def toric_gw_table(
     lam: Partition, d: int, mu: Partition, ctx: GrassContext
 ) -> dict[tuple[int, ...], int]:
     """Structure constants read off the toric expansion, indexed by box partitions.
 
     In k variables with nu_1 <= n-k, the nu visited are the box partitions.
+    The factors are validated while the cache holds no table for them.
     """
-    key = (ctx.k, ctx.n, lam.parts, d, mu.parts)
-    table = _GW_TABLE_CACHE.get(key)
+    size = sum(lam.parts) + d * ctx.n - sum(mu.parts)
+    group = _TORIC_CACHE.get((ctx.k, ctx.n, mu.parts, size, ctx.k))
+    table = None if group is None else group.get((lam.parts, d))
     if table is None:
         ctx.require_fits(lam)
         ctx.require_fits(mu)
-        table = _GW_TABLE_CACHE[key] = _toric_coefficients(lam, d, mu, ctx, ctx.k)
+        table = _toric_coefficients(lam, d, mu, ctx, ctx.k)
     return table

@@ -8,10 +8,8 @@ independent ways and cross-checked.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .errors import FormMismatch
 from .partitions import (
@@ -194,147 +192,6 @@ def hidden_symmetry_check(
         return True
     shift = phi(lam, ctx, a) + phi(mu, ctx, b) + phi(nu, ctx, c)
     return d1 == d0 + shift
-
-
-def product_rows(ctx: GrassContext) -> list[tuple[int, ...]]:
-    """Row i*N + j holds, at basis index l, the coefficient of q^d sigma_l in sigma_i * sigma_j.
-
-    Equal rows are one object; FormMismatch unless every term has d*n = |i| + |j| - |l|.
-    """
-    table = basis_table(ctx)
-    n, parts, size, index = ctx.n, table.parts, table.size, table.index
-    rows, pool = [], {}
-    for i, j in product(range(len(parts)), repeat=2):
-        row = [0] * len(parts)
-        for (nu, d), c in _basis_qprod(ctx, parts[i], parts[j]).items():
-            l = index[nu]
-            if d * n != size[i] + size[j] - size[l]:
-                raise FormMismatch(f"q^{d} sigma_{nu} in {parts[i]} * {parts[j]}: wrong degree")
-            row[l] = c
-        row = tuple(row)
-        rows.append(pool.setdefault(row, row))
-    return rows
-
-
-def row_pool(rows: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each distinct row object of a table, mapped to itself: a pool that more rows can join."""
-    return {row: row for row in {id(row): row for row in rows}.values()}
-
-
-def s3_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
-    """gw_triple(i, j, l) = rows[i*N + j][complement[l]] is invariant under permuting the triple.
-
-    Returns the first failing (lam, mu, nu) as parts tuples, or None.
-    """
-    table = basis_table(ctx)
-    dim, comp = len(table.parts), table.complement
-    for i, j, l in combinations_with_replacement(range(dim), 3):
-        base = rows[i * dim + j][comp[l]]
-        for x, y, z in permutations((i, j, l)):
-            if rows[x * dim + y][comp[z]] != base:
-                return (table.parts[i], table.parts[j], table.parts[l])
-    return None
-
-
-def hidden_symmetry_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
-    """hidden_symmetry_check for every ordered basis triple and every a, b in 0..n-1.
-
-    Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for every
-    class x and a, checked first (FormMismatch); then row (i, j) must equal the moved row of
-    (shift_a i, shift_b j).  Gives the first failing (lam, mu, nu, a, b) as parts tuples, or None.
-    """
-    table = basis_table(ctx)
-    n, k, dim = ctx.n, ctx.k, len(table.parts)
-    shift, prefix, size, comp = table.shift, table.phi, table.size, table.complement
-    for x, a in product(range(dim), range(n)):
-        if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
-            raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
-    # Entry m of a row moved by c is entry comp(shift_c(comp m)); 1 <= k < n gives N >= 2, so
-    # the gather returns a tuple, as the rows are.  Each distinct row moves once per c, to its
-    # equal row or None, so a match is an identity.
-    pool = row_pool(rows)
-    gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
-    movers = [(g, {id(row): pool.get(g(row)) for row in pool.values()}) for g in gathers]
-    for a, b in product(range(n), repeat=2):
-        gather, moved = movers[(-a - b) % n]
-        for i, base in enumerate(s[a] * dim for s in shift):
-            for j in range(dim):
-                row0, source = rows[i * dim + j], rows[base + shift[j][b]]
-                if moved.get(id(source)) is not row0 and (row1 := gather(source)) != row0:
-                    l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
-                    return (table.parts[i], table.parts[j], table.parts[l], a, b)
-    return None
-
-
-def _duality_sweep(
-    ctx: GrassContext,
-    rows: list[tuple[int, ...]],
-    pair: Sequence[int],
-    entry: Sequence[int],
-    defect: Sequence[int],
-    offset: Callable[[int, int], int],
-) -> tuple | None:
-    """Row (pair[i], pair[j]) must be row (i, j) with entry l moved to entry[l], for i <= j.
-
-    The q-degrees of the two sides agree at a nonzero entry l exactly when
-    defect[l] == offset(i, j).  When defect is zero on every class, so is offset, and only
-    rows are compared, each distinct row moved once; otherwise every pair also tests the
-    degrees of its nonzero entries.  Gives the first failing (lam, mu) as parts tuples, or None.
-    """
-    table = basis_table(ctx)
-    dim = len(table.parts)
-    source = [0] * dim
-    for l, m in enumerate(entry):
-        source[m] = l
-    # 1 <= k < n gives N >= 2, so the gather returns a tuple, as the rows are.
-    gather = itemgetter(*source)
-    pool = row_pool(rows)
-    moved = {id(row): pool.get(gather(row)) for row in pool.values()}
-    exact = not any(defect)
-    for i in range(dim):
-        for j in range(i, dim):
-            row, target = rows[i * dim + j], rows[pair[i] * dim + pair[j]]
-            if (moved.get(id(row)) is not target and gather(row) != target) or (
-                not exact and any(c and defect[l] != offset(i, j) for l, c in enumerate(row))
-            ):
-                return (table.parts[i], table.parts[j])
-    return None
-
-
-def strange_transport_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
-    """check_strange_duality_pair on every pair i <= j, read off the product rows.
-
-    Entry p of row (i, j) moves to entry comp(nu), nu = shift_(-k)(p), of row (comp i, comp j).
-    The degrees agree when n*diag_0(nu) = k(n-k) + |nu| - |p| for every class p; where that
-    fails, every pair with a nonzero entry at p fails as well.  Gives the first failing
-    (lam, mu), or None.
-    """
-    table = basis_table(ctx)
-    n, size, comp = ctx.n, table.size, table.complement
-    nu = [shift[-ctx.k % n] for shift in table.shift]
-    d0 = [diag(table.partition[table.parts[x]], ctx, 0) for x in nu]
-    top = ctx.k * ctx.cols
-    defect = [n * d0[p] - top - size[nu[p]] + size[p] for p in range(len(nu))]
-    return _duality_sweep(ctx, rows, comp, [comp[x] for x in nu], defect, lambda i, j: 0)
-
-
-def strange_multiplicative_sweep(ctx: GrassContext, rows: list[tuple[int, ...]]) -> tuple | None:
-    """strange_duality(a * b) = strange_duality(a) * strange_duality(b) on every basis pair i <= j.
-
-    The duality sends sigma_x to q^(-diag_0(x)) sigma_(t x), t(x) = shift_(n-k)(comp x), so
-    row (t i, t j) must be row (i, j) moved by t.  The degrees agree at a nonzero entry p when
-    g(i) + g(j) = g(p), g(x) = |t x| + |x| - n*diag_0(x), which the shift identity of the
-    hidden sweep turns into n*(phi(comp x, n-k) - diag_0(x)).  Gives the first failing
-    (lam, mu), or None.
-    """
-    table = basis_table(ctx)
-    n, size = ctx.n, table.size
-    image = [table.shift[c][ctx.cols] for c in table.complement]
-    defect = [
-        size[image[x]] + size[x] - n * diag(table.partition[p], ctx, 0)
-        for x, p in enumerate(table.parts)
-    ]
-    return _duality_sweep(ctx, rows, image, image, defect, lambda i, j: defect[i] + defect[j])
 
 
 def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext) -> bool:

@@ -1,22 +1,24 @@
 """Exhaustive identity suites over the whole basis of one context.
 
-Every check maps a context and its pooled product table to None when its
-identity holds on every item, and otherwise to its first counterexample,
-built from parts tuples and ints.  The work of a run is bounded from (k, n)
-alone, before any of it is done.
+The product table is N^2 integer row ids and the one dict that interns its rows: equal
+rows have one id, and the dict's keys, in insertion order, are the distinct rows.  Every
+check maps a context and the table to None when its identity holds on every item, and
+otherwise to its first counterexample, built from parts tuples and ints.  The work of a
+run is bounded from (k, n) alone, before any of it is done.
 """
 
 from __future__ import annotations
 
-from .errors import QGrassError
+from collections.abc import Callable, Sequence
+from itertools import combinations_with_replacement, permutations, product
+from operator import itemgetter
+
+from .errors import FormMismatch, QGrassError
 from .niltl import schubert_op, verify_relations
-from .partitions import GrassContext, basis_table, box_partitions_by_size, enumerate_pkn
-from .quantum import giambelli_class, schubert_class
+from .partitions import GrassContext, basis_table, box_partitions_by_size, diag, enumerate_pkn
+from .quantum import _basis_qprod, giambelli_class, schubert_class
 from .schur import _lr_count, toric_gw_table
-from .symmetry import (
-    dmin_dmax, hidden_symmetry_sweep, product_rows, row_pool, s3_symmetry_sweep,
-    strange_multiplicative_sweep, strange_transport_sweep,
-)
+from .symmetry import dmin_dmax
 
 # Bounds the basis size N.
 MAX_CLASSES = 500
@@ -25,18 +27,35 @@ MAX_RELATION_WORK = 2**20
 # Bounds the triple sweeps: the hidden sweep compares N^3 invariants for n^2 shifts.
 MAX_SWEEP_WORK = 2**31
 
-Rows = list[tuple[int, ...]]
+Ids = list[int]
+Pool = dict[tuple[int, ...], int]
 
 
-def _negative(rows: Rows) -> set[int]:
-    """The ids of the rows that hold a negative entry, each distinct row tested once."""
-    return {key for key, row in {id(row): row for row in rows}.items() if min(row) < 0}
+def product_rows(ctx: GrassContext) -> tuple[Ids, Pool]:
+    """Row i*N + j holds, at basis index l, the coefficient of q^d sigma_l in sigma_i * sigma_j.
+
+    Returns the id of every row and the dict that interns them; FormMismatch unless every
+    term has d*n = |i| + |j| - |l|.
+    """
+    table = basis_table(ctx)
+    n, parts, size, index = ctx.n, table.parts, table.size, table.index
+    ids, pool = [], {}
+    for i, j in product(range(len(parts)), repeat=2):
+        row = [0] * len(parts)
+        for (nu, d), c in _basis_qprod(ctx, parts[i], parts[j]).items():
+            l = index[nu]
+            if d * n != size[i] + size[j] - size[l]:
+                raise FormMismatch(f"q^{d} sigma_{nu} in {parts[i]} * {parts[j]}: wrong degree")
+            row[l] = c
+        ids.append(pool.setdefault(tuple(row), len(pool)))
+    return ids, pool
 
 
-def _toric_rows(ctx: GrassContext, pool: dict) -> list:
+def _toric_rows(ctx: GrassContext, pool: Pool) -> list:
     """Row i*N + j holds toric_gw_table(lam_l, d, mu_i)[nu_j] at l, for |nu_j| >= |mu_i|.
 
-    One block per mu; the rows with |nu_j| < |mu_i| are None.  Rows join the pool.
+    One block per mu; the rows with |nu_j| < |mu_i| are None.  Returns the row ids, interned
+    in pool.
     """
     table = basis_table(ctx)
     parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
@@ -52,17 +71,16 @@ def _toric_rows(ctx: GrassContext, pool: dict) -> list:
                         block.setdefault(nu, [0] * dim)[l] = c
         for j in range(dim):
             if size[j] >= size[i]:
-                row = tuple(block.get(parts[j], zero))
-                out[i * dim + j] = pool.setdefault(row, row)
+                out[i * dim + j] = pool.setdefault(tuple(block.get(parts[j], zero)), len(pool))
     return out
 
 
-def _niltl_rows(ctx: GrassContext, pool: dict) -> list:
+def _niltl_rows(ctx: GrassContext, pool: Pool) -> list:
     """Row i*N + j holds schubert_op(nu_j).rows[l][i] at each l where |mu_i| + |nu_j| - |lam_l|
     is a nonnegative multiple of n, and zero elsewhere.
 
     As in gw_invariant, an operator whose degree is not |nu_j| gives a zero block.  One block
-    per nu; rows join the pool.
+    per nu; returns the row ids, interned in pool.
     """
     table = basis_table(ctx)
     size, n, dim = table.size, ctx.n, len(table.parts)
@@ -77,38 +95,36 @@ def _niltl_rows(ctx: GrassContext, pool: dict) -> list:
                     if excess >= 0 and excess % n == 0:
                         block[i][l] = c
         for i, row in enumerate(block):
-            row = tuple(row)
-            out[i * dim + j] = pool.setdefault(row, row)
+            out[i * dim + j] = pool.setdefault(tuple(row), len(pool))
     return out
 
 
-def check_backends(ctx: GrassContext, rows: Rows) -> tuple | None:
+def check_backends(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """The three backends agree and are nonnegative: (mu, nu, lam, d, (bcf, toric, niltl)).
 
-    All three tables share one pool, so two rows agree when they are one object.  Only a
-    pair whose rows differ, or whose row is negative, is searched for its first (d, lam).
+    All three tables intern into one pool, so two rows agree when their ids do.  Only a
+    pair whose ids differ, or whose row is negative, is searched for its first (d, lam).
     """
     table = basis_table(ctx)
     parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
-    pool = row_pool(rows)
-    tables = (rows, _toric_rows(ctx, pool), _niltl_rows(ctx, pool))
-    negative = _negative(rows)
+    tables = (ids, _toric_rows(ctx, pool), _niltl_rows(ctx, pool))
+    rows = list(pool)
+    negative = [min(row) < 0 for row in rows]
     for i in range(dim):
         for j in range(i, dim):
             p = i * dim + j
-            row = rows[p]
-            if row is tables[1][p] is tables[2][p] and id(row) not in negative:
+            if ids[p] == tables[1][p] == tables[2][p] and not negative[ids[p]]:
                 continue
             total = size[i] + size[j]
             for d in range(total // n + 1):
                 for lam in box_partitions_by_size(ctx, total - d * n):
-                    values = tuple(t[p][index[lam.parts]] for t in tables)
+                    values = tuple(rows[t[p]][index[lam.parts]] for t in tables)
                     if len(set(values)) != 1 or values[0] < 0:
                         return (parts[i], parts[j], lam.parts, d, values)
     return None
 
 
-def check_intervals(ctx: GrassContext, rows: Rows) -> tuple | None:
+def check_intervals(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """Both interval forms agree with the q-powers of the product row: (lam, mu).
 
     A nonzero entry at l has q-power (|i| + |j| - |l|) / n, so the sizes of a row's
@@ -116,36 +132,33 @@ def check_intervals(ctx: GrassContext, rows: Rows) -> tuple | None:
     """
     table = basis_table(ctx)
     basis, size, n, dim = enumerate_pkn(ctx), table.size, ctx.n, len(table.parts)
-    found: dict[int, set[int]] = {}
+    sizes = [{size[l] for l, c in enumerate(row) if c} for row in pool]
     for i, lam in enumerate(basis):
         for j in range(i, dim):
             try:
                 interval = dmin_dmax(lam, basis[j], ctx)
             except QGrassError:
                 return (lam.parts, basis[j].parts)
-            lo, hi = interval.dmin, interval.dmax
-            row = rows[i * dim + j]
-            sizes = found.get(id(row))
-            if sizes is None:
-                sizes = found[id(row)] = {size[l] for l, c in enumerate(row) if c}
-            total = size[i] + size[j]
-            if lo > hi or sizes != set(range(total - hi * n, total - lo * n + 1, n)):
+            lo, hi, total = interval.dmin, interval.dmax, size[i] + size[j]
+            powers = set(range(total - hi * n, total - lo * n + 1, n))
+            if lo > hi or sizes[ids[i * dim + j]] != powers:
                 return (lam.parts, basis[j].parts)
     return None
 
 
-def check_classical(ctx: GrassContext, rows: Rows) -> tuple | None:
+def check_classical(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """Degree-0 entries are LR coefficients and all entries nonnegative: (lam, mu)."""
     table = basis_table(ctx)
     parts, size, dim = table.parts, table.size, len(table.parts)
     by_size: dict[int, list[int]] = {}
     for l, s in enumerate(size):
         by_size.setdefault(s, []).append(l)
-    negative = _negative(rows)
+    rows = list(pool)
+    negative = [min(row) < 0 for row in rows]
     for i in range(dim):
         for j in range(i, dim):
-            row = rows[i * dim + j]
-            if id(row) in negative or any(
+            row = rows[ids[i * dim + j]]
+            if negative[ids[i * dim + j]] or any(
                 row[l] != _lr_count(parts[i], parts[j], parts[l])
                 for l in by_size.get(size[i] + size[j], ())
             ):
@@ -153,7 +166,128 @@ def check_classical(ctx: GrassContext, rows: Rows) -> tuple | None:
     return None
 
 
-def check_giambelli(ctx: GrassContext, rows: Rows) -> tuple | None:
+def s3_symmetry_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
+    """gw_triple(i, j, l) = row (i, j) at complement[l] is invariant under permuting the triple.
+
+    Returns the first failing (lam, mu, nu) as parts tuples, or None.
+    """
+    table = basis_table(ctx)
+    dim, comp = len(table.parts), table.complement
+    rows = list(pool)
+    full = [rows[x] for x in ids]
+    for i, j, l in combinations_with_replacement(range(dim), 3):
+        base = full[i * dim + j][comp[l]]
+        for x, y, z in permutations((i, j, l)):
+            if full[x * dim + y][comp[z]] != base:
+                return (table.parts[i], table.parts[j], table.parts[l])
+    return None
+
+
+def hidden_symmetry_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
+    """hidden_symmetry_check for every ordered basis triple and every a, b in 0..n-1.
+
+    Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for every
+    class x and a, checked first (FormMismatch); then row (i, j) must equal the moved row of
+    (shift_a i, shift_b j).  Gives the first failing (lam, mu, nu, a, b) as parts tuples, or None.
+    """
+    table = basis_table(ctx)
+    n, k, dim = ctx.n, ctx.k, len(table.parts)
+    shift, prefix, size, comp = table.shift, table.phi, table.size, table.complement
+    for x, a in product(range(dim), range(n)):
+        if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
+            raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
+    # Entry m of a row moved by c is entry comp(shift_c(comp m)); 1 <= k < n gives N >= 2, so
+    # the gather returns a tuple, as the rows are.  moved[c][x] is the id of row x moved by c,
+    # or None when no row of the table equals it.
+    rows = list(pool)
+    gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
+    moved = [[pool.get(gather(row)) for row in rows] for gather in gathers]
+    for a, b in product(range(n), repeat=2):
+        c = (-a - b) % n
+        moves = moved[c]
+        for i, base in enumerate(s[a] * dim for s in shift):
+            for j in range(dim):
+                source = ids[base + shift[j][b]]
+                if moves[source] != ids[i * dim + j]:
+                    row0, row1 = rows[ids[i * dim + j]], gathers[c](rows[source])
+                    l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
+                    return (table.parts[i], table.parts[j], table.parts[l], a, b)
+    return None
+
+
+def _duality_sweep(
+    ctx: GrassContext,
+    ids: Ids,
+    pool: Pool,
+    pair: Sequence[int],
+    entry: Sequence[int],
+    defect: Sequence[int],
+    offset: Callable[[int, int], int],
+) -> tuple | None:
+    """Row (pair[i], pair[j]) must be row (i, j) with entry l moved to entry[l], for i <= j.
+
+    The q-degrees of the two sides agree at a nonzero entry l exactly when
+    defect[l] == offset(i, j).  When defect is zero on every class, so is offset, and only
+    row ids are compared, each distinct row moved once; otherwise every pair also tests the
+    degrees of its nonzero entries.  Gives the first failing (lam, mu) as parts tuples, or None.
+    """
+    table = basis_table(ctx)
+    dim = len(table.parts)
+    source = [0] * dim
+    for l, m in enumerate(entry):
+        source[m] = l
+    # 1 <= k < n gives N >= 2, so the gather returns a tuple, as the rows are.
+    gather = itemgetter(*source)
+    rows = list(pool)
+    moved = [pool.get(gather(row)) for row in rows]
+    exact = not any(defect)
+    for i in range(dim):
+        for j in range(i, dim):
+            x = ids[i * dim + j]
+            if moved[x] != ids[pair[i] * dim + pair[j]] or (
+                not exact and any(c and defect[l] != offset(i, j) for l, c in enumerate(rows[x]))
+            ):
+                return (table.parts[i], table.parts[j])
+    return None
+
+
+def strange_transport_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
+    """check_strange_duality_pair on every pair i <= j, read off the product table.
+
+    Entry p of row (i, j) moves to entry comp(nu), nu = shift_(-k)(p), of row (comp i, comp j).
+    The degrees agree when n*diag_0(nu) = k(n-k) + |nu| - |p| for every class p; where that
+    fails, every pair with a nonzero entry at p fails as well.  Gives the first failing
+    (lam, mu), or None.
+    """
+    table = basis_table(ctx)
+    n, size, comp = ctx.n, table.size, table.complement
+    nu = [shift[-ctx.k % n] for shift in table.shift]
+    d0 = [diag(table.partition[table.parts[x]], ctx, 0) for x in nu]
+    top = ctx.k * ctx.cols
+    defect = [n * d0[p] - top - size[nu[p]] + size[p] for p in range(len(nu))]
+    return _duality_sweep(ctx, ids, pool, comp, [comp[x] for x in nu], defect, lambda i, j: 0)
+
+
+def strange_multiplicative_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
+    """strange_duality(a * b) = strange_duality(a) * strange_duality(b) on every basis pair i <= j.
+
+    The duality sends sigma_x to q^(-diag_0(x)) sigma_(t x), t(x) = shift_(n-k)(comp x), so
+    row (t i, t j) must be row (i, j) moved by t.  The degrees agree at a nonzero entry p when
+    g(i) + g(j) = g(p), g(x) = |t x| + |x| - n*diag_0(x), which the shift identity of the
+    hidden sweep turns into n*(phi(comp x, n-k) - diag_0(x)).  Gives the first failing
+    (lam, mu), or None.
+    """
+    table = basis_table(ctx)
+    n, size = ctx.n, table.size
+    image = [table.shift[c][ctx.cols] for c in table.complement]
+    defect = [
+        size[image[x]] + size[x] - n * diag(table.partition[p], ctx, 0)
+        for x, p in enumerate(table.parts)
+    ]
+    return _duality_sweep(ctx, ids, pool, image, image, defect, lambda i, j: defect[i] + defect[j])
+
+
+def check_giambelli(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """The Giambelli determinant of every class is the class: (lam,)."""
     for lam in enumerate_pkn(ctx):
         if giambelli_class(lam, ctx) != schubert_class(lam, ctx):
@@ -204,9 +338,9 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
             f"triple sweeps: N^3 * n^2 = {dim**3 * n**2} is above the bound 2^31 = {MAX_SWEEP_WORK}"
         )
     report = verify_relations(ctx) if relations else []
-    rows = product_rows(ctx) if scope != "relations" else None
+    ids, pool = product_rows(ctx) if scope != "relations" else (None, None)
     for name, check in (c for suite, cs in SUITES.items() if scope in (suite, "all") for c in cs):
-        witness = check(ctx, rows)
+        witness = check(ctx, ids, pool)
         entry = {"check": name, "status": "pass" if witness is None else "fail"}
         report.append(entry if witness is None else {**entry, "counterexample": witness})
     return report

@@ -223,6 +223,15 @@ def test_verify_subcommand(capsys):
     assert all(entry["status"] == "pass" for entry in payload)
 
 
+def test_verify_gr_1_2_passes(capsys):
+    # With n = 2 both neighbours of a generator are the other one, so the braid relation
+    # does not apply; its entry still reports, and every check passes.
+    code, out, _ = run(capsys, "verify", "--k", "1", "--n", "2", "--scope", "all")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 19 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS generator_braids_vanish" in lines
+
+
 def test_verify_with_jobs(capsys):
     # verify has no --jobs option, so argparse rejects it as a usage error.
     code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "backends", "--jobs", "2")
@@ -235,7 +244,7 @@ def test_verify_with_jobs(capsys):
 
 def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     # sigma_1 * sigma_1 = sigma_2 + sigma_11 in Gr(2,4); report 2 for sigma_11.
-    real = symmetry._basis_qprod
+    real = verify._basis_qprod
 
     def corrupted(ctx, a, b):
         prod = real(ctx, a, b)
@@ -244,6 +253,8 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
         return prod
 
     argv = ("verify", "--k", "2", "--n", "4", "--scope", "symmetries")
+    # the table and the pointwise oracle read the same product
+    monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
     code, out, _ = run(capsys, *argv)
     assert code == 2
@@ -292,13 +303,13 @@ def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
 
 def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):
     # q sigma_2 in sigma_1 * sigma_1 on Gr(2,4): the sizes fix its degree at 0, not 1.
-    real = symmetry._basis_qprod
+    real = verify._basis_qprod
 
     def corrupted(ctx, a, b):
         prod = real(ctx, a, b)
         return {**prod, ((2,), 1): 1} if (a, b) == ((1,), (1,)) else prod
 
-    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "symmetries")
     assert code == 1 and out == ""
     assert err.strip() == "error: q^1 sigma_(2,) in (1,) * (1,): wrong degree"
@@ -331,6 +342,32 @@ def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "PASS backend_agreement_and_nonnegativity" in out.splitlines()
+
+
+def test_backend_tables_intern_no_new_row(monkeypatch):
+    # Agreeing backends give rows the product table already holds, so their ids are its
+    # ids; one wrong toric coefficient makes exactly one new row.
+    for k, n in ((2, 4), (2, 5), (3, 5), (3, 6)):
+        ctx = GrassContext(k, n)
+        ids, pool = verify.product_rows(ctx)
+        toric, niltl = verify._toric_rows(ctx, pool), verify._niltl_rows(ctx, pool)
+        assert len(pool) == len(set(ids)), (k, n)
+        dim = len(enumerate_pkn(ctx))
+        pairs = [i * dim + j for i in range(dim) for j in range(i, dim)]
+        assert [toric[p] for p in pairs] == [niltl[p] for p in pairs] == [ids[p] for p in pairs]
+    real = verify.toric_gw_table
+
+    def corrupted(lam, d, mu, ctx):
+        table = real(lam, d, mu, ctx)
+        if (lam.parts, d, mu.parts) == ((1, 1), 0, (1,)):
+            table = {**table, (1,): table[(1,)] + 1}
+        return table
+
+    monkeypatch.setattr(verify, "toric_gw_table", corrupted)
+    ctx = GrassContext(2, 4)
+    ids, pool = verify.product_rows(ctx)
+    verify._toric_rows(ctx, pool)
+    assert len(pool) == len(set(ids)) + 1
 
 
 def test_verify_fails_on_a_corrupted_niltl_entry(capsys, monkeypatch):
@@ -388,7 +425,7 @@ def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
         return found
 
     for module, name, fake in (
-        (symmetry, "_basis_qprod", qprod), (quantum, "_basis_qprod", qprod),
+        (verify, "_basis_qprod", qprod), (quantum, "_basis_qprod", qprod),
         (verify, "toric_gw_table", toric), (verify, "schubert_op", op),
     ):
         monkeypatch.setattr(module, name, fake)
@@ -404,11 +441,13 @@ def test_verify_duality_degrees_fall_back_to_each_pair(capsys, monkeypatch):
     # One wrong diag_0 breaks the per-class degree identities of both dualities; each
     # check then names the first pair that the pointwise forms reject, and exits 2.
     ctx = GrassContext(3, 6)
-    real = symmetry.diag
+    real = verify.diag
 
     def shifted(lam, c, i):
         return real(lam, c, i) + (lam.parts == (2, 1) and i == 0)
 
+    # the sweeps and the pointwise oracles read the same diag_0
+    monkeypatch.setattr(verify, "diag", shifted)
     monkeypatch.setattr(symmetry, "diag", shifted)
     code, out, _ = run(capsys, "verify", "--k", "3", "--n", "6", "--scope", "symmetries")
     assert code == 2
@@ -452,13 +491,13 @@ def test_verify_fails_when_an_interval_form_raises(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.splitlines() == ["PASS q_power_interval"]
     # a q-power the interval does not hold: q in sigma_2 * sigma_2 = sigma_22
-    real_qprod = symmetry._basis_qprod
+    real_qprod = verify._basis_qprod
 
     def corrupted(ctx, a, b):
         prod = real_qprod(ctx, a, b)
         return {**prod, ((), 1): 1} if (a, b) == ((2,), (2,)) else prod
 
-    monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
+    monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out.splitlines() == ["FAIL q_power_interval", "  counterexample: ((2,), (2,))"]

@@ -233,7 +233,6 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
 
     monkeypatch.setattr(schur, "_toric_walk", recording)
     monkeypatch.setattr(schur, "_TORIC_CACHE", {})
-    monkeypatch.setattr(schur, "_GW_TABLE_CACHE", {})
     for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
         basis = enumerate_pkn(ctx)
         for lam in basis:
@@ -256,7 +255,6 @@ def _counting_grow_chains(monkeypatch):
 
     monkeypatch.setattr(schur, "grow_chains", counting)
     monkeypatch.setattr(schur, "_TORIC_CACHE", {})
-    monkeypatch.setattr(schur, "_GW_TABLE_CACHE", {})
     return calls
 
 
@@ -350,6 +348,18 @@ def test_toric_expand_rejects_negative_nvars():
     # A negative d is refused before any size test.
     with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
         toric_schur_expand(Partition((2,)), -1, Partition(), GrassContext(1, 3), 2)
+
+
+def test_toric_gw_table_refuses_a_partition_outside_the_box(monkeypatch):
+    # The table of lam/d/mu shares its cached walk with every lam of the same size, so a
+    # cached walk must not admit a lam outside the box, on the first call or a later one.
+    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    ctx, one = GrassContext(2, 4), Partition((1,))
+    assert toric_gw_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
+    for lam, mu in (((3,), (1,)), ((2, 1), (3,)), ((1, 1, 1), ())):
+        for _ in range(2):
+            with pytest.raises(QGrassError, match="does not fit"):
+                toric_gw_table(Partition(lam), 0, Partition(mu), ctx)
 
 
 def test_toric_expand_stabilizes_in_nvars():

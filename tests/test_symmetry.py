@@ -29,9 +29,9 @@ from qgrass import (
     strange_duality,
     unit_class,
 )
-from qgrass import symmetry
+from qgrass import symmetry, verify
 from qgrass.partitions import basis_table
-from qgrass.symmetry import (
+from qgrass.verify import (
     hidden_symmetry_sweep, product_rows, s3_symmetry_sweep, strange_multiplicative_sweep,
     strange_transport_sweep,
 )
@@ -218,10 +218,7 @@ def test_hidden_symmetry():
                     for b in range(ctx.n):
                         assert hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
-        rows = product_rows(ctx)
-        assert hidden_symmetry_sweep(ctx, rows) is None
-        # rows that are equal but not one object compare by equality
-        assert hidden_symmetry_sweep(ctx, [tuple(list(row)) for row in rows]) is None
+        assert hidden_symmetry_sweep(ctx, *product_rows(ctx)) is None
 
 
 def test_s3_symmetry():
@@ -234,13 +231,13 @@ def test_s3_symmetry():
                 for p in permutations((lam, mu, nu)):
                     assert gw_triple(*p, ctx) == value
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
-        assert s3_symmetry_sweep(ctx, product_rows(ctx)) is None
+        assert s3_symmetry_sweep(ctx, *product_rows(ctx)) is None
 
 
 def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
     # One wrong coefficient, read by the sweeps and by gw_triple alike.
     ctx = GrassContext(2, 5)
-    real = symmetry._basis_qprod
+    real = verify._basis_qprod
 
     def corrupted(c, a, b):
         prod = real(c, a, b)
@@ -248,15 +245,15 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
             prod = {**prod, ((2, 1), 0): prod[((2, 1), 0)] + 1}
         return prod
 
+    monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     monkeypatch.setattr(symmetry, "_basis_qprod", corrupted)
-    rows = product_rows(ctx)
-    *triple, a, b = witness = hidden_symmetry_sweep(ctx, rows)
-    assert hidden_symmetry_sweep(ctx, [tuple(list(row)) for row in rows]) == witness
+    table = product_rows(ctx)
+    *triple, a, b = hidden_symmetry_sweep(ctx, *table)
     lam, mu, nu = (Partition(p) for p in triple)
     assert not hidden_symmetry_check(lam, mu, nu, a, b, -a - b, ctx)
-    triple = [Partition(p) for p in s3_symmetry_sweep(ctx, rows)]
+    triple = [Partition(p) for p in s3_symmetry_sweep(ctx, *table)]
     assert len({gw_triple(*p, ctx) for p in permutations(triple)}) > 1
-    lam, mu = (Partition(p) for p in strange_transport_sweep(ctx, rows))
+    lam, mu = (Partition(p) for p in strange_transport_sweep(ctx, *table))
     assert not check_strange_duality_pair(lam, mu, ctx)
 
 
@@ -264,17 +261,17 @@ def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
     # The degree half of the sweep rests on |shift_a(x)| - |x| = n*phi(x, a) - k*a;
     # one wrong prefix statistic must raise rather than pass or name a triple.
     ctx = GrassContext(2, 5)
-    rows = product_rows(ctx)
-    real = symmetry.basis_table(ctx)
+    table = product_rows(ctx)
+    real = verify.basis_table(ctx)
     phi = [list(row) for row in real.phi]
     phi[3][2] += 1
     fake = SimpleNamespace(
         parts=real.parts, size=real.size, complement=real.complement, shift=real.shift,
         phi=tuple(tuple(row) for row in phi),
     )
-    monkeypatch.setattr(symmetry, "basis_table", lambda c: fake)
+    monkeypatch.setattr(verify, "basis_table", lambda c: fake)
     with pytest.raises(FormMismatch):
-        hidden_symmetry_sweep(ctx, rows)
+        hidden_symmetry_sweep(ctx, *table)
 
 
 def test_product_rows_transpose_duality():
@@ -285,11 +282,18 @@ def test_product_rows_transpose_duality():
             ctx, dual = GrassContext(k, n), GrassContext(n - k, n)
             parts, dual_index = basis_table(ctx).parts, basis_table(dual).index
             conj = [dual_index[conjugate(Partition(p)).parts] for p in parts]
-            rows, dual_rows, dim = product_rows(ctx), product_rows(dual), len(parts)
-            assert len({id(row) for row in rows}) == len(set(rows))  # equal rows are one object
+            (ids, pool), (dual_ids, dual_pool) = product_rows(ctx), product_rows(dual)
+            rows, dual_rows, dim = list(pool), list(dual_pool), len(parts)
+            assert set(ids) == set(range(len(rows)))  # every interned row is a product row
             for i, j in product(range(dim), repeat=2):
-                moved = dual_rows[conj[i] * dim + conj[j]]
-                assert rows[i * dim + j] == tuple(moved[c] for c in conj), (ctx, i, j)
+                moved = dual_rows[dual_ids[conj[i] * dim + conj[j]]]
+                assert rows[ids[i * dim + j]] == tuple(moved[c] for c in conj), (ctx, i, j)
+
+
+def test_product_table_interns_equal_rows():
+    # Gr(4,9): 126 classes, 15,876 products, 945 distinct rows, each with one id.
+    ids, pool = product_rows(GrassContext(4, 9))
+    assert len(ids) == 15876 and list(pool.values()) == list(range(945))
 
 
 def test_strange_duality_transport():
@@ -298,8 +302,6 @@ def test_strange_duality_transport():
             for mu in enumerate_pkn(ctx):
                 assert check_strange_duality_pair(lam, mu, ctx)
     for ctx in (GrassContext(1, 3), C24, GrassContext(2, 5), GrassContext(3, 6)):
-        rows = product_rows(ctx)
+        table = product_rows(ctx)
         for sweep in (strange_transport_sweep, strange_multiplicative_sweep):
-            assert sweep(ctx, rows) is None
-            # rows that are equal but not one object compare by equality
-            assert sweep(ctx, [tuple(list(row)) for row in rows]) is None
+            assert sweep(ctx, *table) is None
