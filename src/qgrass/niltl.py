@@ -124,10 +124,6 @@ class NilTLOperator:
     def identity(cls, ctx: GrassContext) -> "NilTLOperator":
         return cls(ctx, [{i: 1} for i in range(ctx.num_classes)], 0)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def _entry(self, table: BasisTable, i: int, j: int) -> LaurentPoly:
         d = (self.degree + table.size[j] - table.size[i]) // self.ctx.n
         return LaurentPoly({d: self.rows[i].get(j, 0)})

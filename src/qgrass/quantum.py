@@ -24,7 +24,7 @@ from .partitions import (
     graded_key,
     masked_det,
 )
-from .schur import _mult_basis_canonical, toric_gw_table
+from .schur import _mult_basis_canonical, _toric_coefficients
 from .tableaux import strip_successors
 
 TermKey = tuple[Partition, int]
@@ -190,30 +190,29 @@ def rimhook_reduce(tau: Partition, ctx: GrassContext) -> RimHookReduction:
     return RimHookReduction(Partition(core), d, sign, False)
 
 
-_QPROD_CACHE: dict[tuple, dict[tuple[tuple[int, ...], int], int]] = {}
-
-
 def _basis_qprod(
     ctx: GrassContext, a: tuple[int, ...], b: tuple[int, ...]
 ) -> dict[tuple[tuple[int, ...], int], int]:
     """sigma_a * sigma_b as a map (partition, q-degree) -> coefficient."""
     if (len(b), sum(b), b) < (len(a), sum(a), a):
         a, b = b, a
-    key = (ctx.k, ctx.n, a, b)
-    cached = _QPROD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _qprod_raw(ctx.k, ctx.n, a, b)
+
+
+@lru_cache(maxsize=None)
+def _qprod_raw(
+    k: int, n: int, a: tuple[int, ...], b: tuple[int, ...]
+) -> dict[tuple[tuple[int, ...], int], int]:
+    # Keyed on (k, n) rather than the context, whose __hash__ runs in Python.
     out: dict[tuple[tuple[int, ...], int], int] = {}
-    for tau, c in _mult_basis_canonical(a, b, ctx.k).items():
-        raw = _reduce_raw(tau, ctx.k, ctx.n)
+    for tau, c in _mult_basis_canonical(a, b, k).items():
+        raw = _reduce_raw(tau, k, n)
         if raw is None:
             continue
         core, d, sign = raw
-        k2 = (core, d)
-        out[k2] = out.get(k2, 0) + sign * c
-    out = {key2: c for key2, c in out.items() if c != 0}
-    _QPROD_CACHE[key] = out
-    return out
+        key = (core, d)
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
@@ -309,7 +308,7 @@ def gw_invariant(
     if backend == "bcf":
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam.parts, d), 0)
     if backend == "toric":
-        return toric_gw_table(lam, d, mu, ctx).get(nu.parts, 0)
+        return _toric_coefficients(lam, d, mu, ctx, ctx.k).get(nu.parts, 0)
     if backend == "niltl":
         from .niltl import schubert_op
 

@@ -134,9 +134,7 @@ def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) ->
     return total
 
 
-_MULT_CACHE: dict[tuple, dict[tuple[int, ...], int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _mult_basis(
     lam: tuple[int, ...], mu: tuple[int, ...], cap: int
 ) -> dict[tuple[int, ...], int]:
@@ -159,10 +157,6 @@ def _mult_basis(
     # nu contains both factors, so neither may have more than cap rows.
     if len(lam) > cap or m > cap:
         return {}
-    key = (lam, mu, cap)
-    cached = _MULT_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     out: dict[tuple[int, ...], int] = {}
     p = list(lam) + [0] * (cap - len(lam))
@@ -225,7 +219,6 @@ def _mult_basis(
         p[j] = base[i][j] + a
         cum[i][j + 1] = cum[i][j] + a
         t += 1
-    _MULT_CACHE[key] = out
     return out
 
 
@@ -320,9 +313,18 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
         prev = nu
 
 
-# (k, n, mu, |nu|, nvars) -> {(lam, d): {nu: nonzero coefficient}, in walk order}; a
-# (lam, d) asked for and not reached by the walk holds {}.
-_TORIC_CACHE: dict[tuple, dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]] = {}
+@lru_cache(maxsize=None)
+def _toric_rows(
+    k: int, n: int, mu: tuple[int, ...], size: int, nvars: int
+) -> dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """{(lam, d): {nu: nonzero coefficient}, in walk order} for every (lam, d) the walk reaches."""
+    loops = loop_ids(k, n - k)
+    rows: dict[int, dict[tuple[int, ...], int]] = {}
+    for nu, chains in _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars):
+        for state, c in (chains or {}).items():
+            if c:
+                rows.setdefault(state, {})[nu] = c
+    return {loops.loop(state): row for state, row in rows.items()}
 
 
 def _toric_coefficients(
@@ -345,18 +347,7 @@ def _toric_coefficients(
     size = lam.size + d * ctx.n - mu.size
     if size < 0:
         return {}
-    key = (ctx.k, ctx.n, mu.parts, size, nvars)
-    group = _TORIC_CACHE.get(key)
-    if group is None:
-        loops = loop_ids(ctx.k, ctx.cols)
-        rows: dict[int, dict[tuple[int, ...], int]] = {}
-        walk = _toric_walk(ctx.k, ctx.cols, mu.parts, (mu.size + size) // ctx.n, size, nvars)
-        for nu, chains in walk:
-            for state, c in (chains or {}).items():
-                if c:
-                    rows.setdefault(state, {})[nu] = c
-        group = _TORIC_CACHE[key] = {loops.loop(state): row for state, row in rows.items()}
-    return group.setdefault((lam.parts, d), {})
+    return _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
 
 
 def toric_schur_expand(
@@ -382,13 +373,7 @@ def toric_gw_table(
     """Structure constants read off the toric expansion, indexed by box partitions.
 
     In k variables with nu_1 <= n-k, the nu visited are the box partitions.
-    The factors are validated while the cache holds no table for them.
     """
-    size = sum(lam.parts) + d * ctx.n - sum(mu.parts)
-    group = _TORIC_CACHE.get((ctx.k, ctx.n, mu.parts, size, ctx.k))
-    table = None if group is None else group.get((lam.parts, d))
-    if table is None:
-        ctx.require_fits(lam)
-        ctx.require_fits(mu)
-        table = _toric_coefficients(lam, d, mu, ctx, ctx.k)
-    return table
+    ctx.require_fits(lam)
+    ctx.require_fits(mu)
+    return _toric_coefficients(lam, d, mu, ctx, ctx.k)

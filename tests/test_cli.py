@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 from qgrass import FormMismatch, quantum, symmetry, verify
@@ -299,6 +300,26 @@ def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
         builds.clear()
         code, _, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", scope)
         assert code == 0 and len(builds) == count, scope
+
+
+def test_a_second_verify_run_misses_no_memo():
+    # Every memo of the package is an lru_cache, so a second run in the same process
+    # adds no miss to any of them, and the product, LR and toric memos serve it.
+    memos = {
+        f"{fn.__module__}.{fn.__qualname__}": fn
+        for name, module in list(sys.modules.items()) if name.startswith("qgrass")
+        for fn in vars(module).values() if hasattr(fn, "cache_info")
+    }
+    ctx = GrassContext(3, 6)
+    verify.run(ctx, "all")
+    before = {name: fn.cache_info() for name, fn in memos.items()}
+    verify.run(ctx, "all")
+    after = {name: fn.cache_info() for name, fn in memos.items()}
+    assert {name: after[name].misses - before[name].misses for name in memos} == dict.fromkeys(
+        memos, 0
+    )
+    for name in ("qgrass.quantum._qprod_raw", "qgrass.schur._lr_count", "qgrass.schur._toric_rows"):
+        assert after[name].hits > before[name].hits, name
 
 
 def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):

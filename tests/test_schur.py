@@ -232,7 +232,7 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
             yield nu, chains
 
     monkeypatch.setattr(schur, "_toric_walk", recording)
-    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    schur._toric_rows.cache_clear()
     for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
         basis = enumerate_pkn(ctx)
         for lam in basis:
@@ -254,7 +254,7 @@ def _counting_grow_chains(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(schur, "grow_chains", counting)
-    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    schur._toric_rows.cache_clear()
     return calls
 
 
@@ -334,7 +334,7 @@ def test_toric_expand_work_stops_growing_past_the_shape_size(monkeypatch):
                     continue
                 found = {}
                 for nvars in (shape.size, 16):
-                    schur._TORIC_CACHE.clear()
+                    schur._toric_rows.cache_clear()
                     before = len(calls)
                     terms = dict(toric_schur_expand(lam, d, mu, ctx, nvars).terms)
                     found[nvars] = (terms, len(calls) - before)
@@ -350,10 +350,10 @@ def test_toric_expand_rejects_negative_nvars():
         toric_schur_expand(Partition((2,)), -1, Partition(), GrassContext(1, 3), 2)
 
 
-def test_toric_gw_table_refuses_a_partition_outside_the_box(monkeypatch):
+def test_toric_gw_table_refuses_a_partition_outside_the_box():
     # The table of lam/d/mu shares its cached walk with every lam of the same size, so a
     # cached walk must not admit a lam outside the box, on the first call or a later one.
-    monkeypatch.setattr(schur, "_TORIC_CACHE", {})
+    schur._toric_rows.cache_clear()
     ctx, one = GrassContext(2, 4), Partition((1,))
     assert toric_gw_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
     for lam, mu in (((3,), (1,)), ((2, 1), (3,)), ((1, 1, 1), ())):
