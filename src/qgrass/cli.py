@@ -39,13 +39,13 @@ def _context(args) -> GrassContext:
     return GrassContext(args.k, args.n)
 
 
-def _add_common(sub, *, nvars=False, d=False, nu=False, beta=False, backend=False):
+def _add_common(sub, *, nvars=False, d=False, beta=False, backend=False):
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    if nu or backend:
-        sub.add_argument("--nu", type=parse_partition, required=nu)
+    if backend:
+        sub.add_argument("--nu", type=parse_partition, required=True)
     if d:
         sub.add_argument("--d", type=int, default=None)
     if nvars:
@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_qprod)
 
     sub = subs.add_parser("gw", help="structure constant of a triple")
-    _add_common(sub, d=True, nu=True, backend=True)
+    _add_common(sub, d=True, backend=True)
     sub.add_argument("--mu", type=parse_partition, required=True)
     sub.set_defaults(func=_cmd_gw)
 

@@ -24,7 +24,7 @@ from .partitions import (
     graded_key,
     masked_det,
 )
-from .schur import _mult_basis_canonical, _toric_coefficients
+from .schur import _mult_basis_canonical, _toric_rows
 from .tableaux import strip_successors
 
 TermKey = tuple[Partition, int]
@@ -303,12 +303,13 @@ def gw_invariant(
         parts = p.parts
         if len(parts) > k or (parts and parts[0] > cols):
             ctx.require_fits(p)
-    if d < 0 or lam.size != mu.size + nu.size - d * ctx.n:
+    size = nu.size
+    if d < 0 or lam.size != mu.size + size - d * ctx.n:
         return 0
     if backend == "bcf":
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam.parts, d), 0)
     if backend == "toric":
-        return _toric_coefficients(lam, d, mu, ctx, ctx.k).get(nu.parts, 0)
+        return _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {}).get(nu.parts, 0)
     if backend == "niltl":
         from .niltl import schubert_op
 

@@ -317,7 +317,20 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
 def _toric_rows(
     k: int, n: int, mu: tuple[int, ...], size: int, nvars: int
 ) -> dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """{(lam, d): {nu: nonzero coefficient}, in walk order} for every (lam, d) the walk reaches."""
+    """{(lam, d): {nu: nonzero coefficient of s_nu in lam/d/mu}, in walk order}, |nu| = size.
+
+    A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
+    of the first determinant row is zero.  Only nu with nu_1 <= n-k are
+    visited, at most the partitions in an nvars x (n-k) box, whatever d is:
+    in k variables, the box partitions.
+
+    Offsets never decrease along a chain, and a loop at offset e after
+    |nu| cells has |mu| + |nu| - e*n cells, so every chain of the walk ends
+    at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
+    (lam, d) with the same mu and |nu|: each key has lam in the box and
+    |lam| + d*n = |mu| + |nu|.  An empty shape lam/d/mu needs no test: no
+    chain reaches lam[d], so it has no key.
+    """
     loops = loop_ids(k, n - k)
     rows: dict[int, dict[tuple[int, ...], int]] = {}
     for nu, chains in _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars):
@@ -325,29 +338,6 @@ def _toric_rows(
             if c:
                 rows.setdefault(state, {})[nu] = c
     return {loops.loop(state): row for state, row in rows.items()}
-
-
-def _toric_coefficients(
-    lam: Partition, d: int, mu: Partition, ctx: GrassContext, nvars: int
-) -> dict[tuple[int, ...], int]:
-    """{nu parts: nonzero coefficient of s_nu} of lam/d/mu in nvars variables: the cached dict.
-
-    A horizontal strip has at most n-k cells, so for nu_1 > n-k every entry
-    of the first determinant row is zero.  Only nu with nu_1 <= n-k are
-    visited, at most the partitions in an nvars x (n-k) box, whatever d is.
-
-    Offsets never decrease along a chain, and a loop at offset e after
-    |nu| cells has |mu| + |nu| - e*n cells, so every chain of the walk ends
-    at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
-    (lam, d) with the same mu and |nu|.  An empty shape lam/d/mu needs no
-    test: no chain reaches lam[d], so its row is empty.
-    """
-    if d < 0:
-        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
-    size = lam.size + d * ctx.n - mu.size
-    if size < 0:
-        return {}
-    return _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
 
 
 def toric_schur_expand(
@@ -363,17 +353,10 @@ def toric_schur_expand(
         raise VarMismatch(f"nvars must be >= 0, got {nvars}")
     ctx.require_fits(lam)
     ctx.require_fits(mu)
-    coefficients = _toric_coefficients(lam, d, mu, ctx, nvars)
-    return SchurExpansion(nvars, {Partition(nu): c for nu, c in coefficients.items()})
-
-
-def toric_gw_table(
-    lam: Partition, d: int, mu: Partition, ctx: GrassContext
-) -> dict[tuple[int, ...], int]:
-    """Structure constants read off the toric expansion, indexed by box partitions.
-
-    In k variables with nu_1 <= n-k, the nu visited are the box partitions.
-    """
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
-    return _toric_coefficients(lam, d, mu, ctx, ctx.k)
+    if d < 0:
+        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
+    size = lam.size + d * ctx.n - mu.size
+    if size < 0:
+        return SchurExpansion(nvars)
+    row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
+    return SchurExpansion(nvars, {Partition(nu): c for nu, c in row.items()})

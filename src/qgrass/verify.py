@@ -15,9 +15,9 @@ from operator import itemgetter
 
 from .errors import FormMismatch, QGrassError
 from .niltl import schubert_op, verify_relations
-from .partitions import GrassContext, basis_table, box_partitions_by_size, diag, enumerate_pkn
+from .partitions import GrassContext, _partitions_into, basis_table, diag, enumerate_pkn
 from .quantum import _basis_qprod, giambelli_class, schubert_class
-from .schur import _lr_count, toric_gw_table
+from .schur import _lr_count, _toric_rows as _walk_rows
 from .symmetry import dmin_dmax
 
 # Bounds the basis size N.
@@ -52,23 +52,23 @@ def product_rows(ctx: GrassContext) -> tuple[Ids, Pool]:
 
 
 def _toric_rows(ctx: GrassContext, pool: Pool) -> list:
-    """Row i*N + j holds toric_gw_table(lam_l, d, mu_i)[nu_j] at l, for |nu_j| >= |mu_i|.
+    """Row i*N + j holds, at l, the coefficient of s_(nu_j) in lam_l/d/mu_i in k variables,
+    for |nu_j| >= |mu_i|, with d fixed by the sizes.
 
-    One block per mu; the rows with |nu_j| < |mu_i| are None.  Returns the row ids, interned
-    in pool.
+    One block per mu, scattered from the toric walks of every size |nu| >= |mu|; the rows
+    with |nu_j| < |mu_i| are None.  Returns the row ids, interned in pool.
     """
     table = basis_table(ctx)
-    parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
+    parts, size, index, k, dim = table.parts, table.size, table.index, ctx.k, len(table.parts)
     zero = [0] * dim
     out = [None] * (dim * dim)
-    for i, mu in enumerate(enumerate_pkn(ctx)):
+    for i, mu in enumerate(parts):
         block: dict[tuple[int, ...], list[int]] = {}
-        for total in range(2 * size[i], size[i] + ctx.k * ctx.cols + 1):
-            for d in range(total // n + 1):
-                for lam in box_partitions_by_size(ctx, total - d * n):
-                    l = index[lam.parts]
-                    for nu, c in toric_gw_table(lam, d, mu, ctx).items():
-                        block.setdefault(nu, [0] * dim)[l] = c
+        for m in range(size[i], k * ctx.cols + 1):
+            for (lam, d), row in _walk_rows(k, ctx.n, mu, m, k).items():
+                l = index[lam]
+                for nu, c in row.items():
+                    block.setdefault(nu, [0] * dim)[l] = c
         for j in range(dim):
             if size[j] >= size[i]:
                 out[i * dim + j] = pool.setdefault(tuple(block.get(parts[j], zero)), len(pool))
@@ -117,10 +117,10 @@ def check_backends(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
                 continue
             total = size[i] + size[j]
             for d in range(total // n + 1):
-                for lam in box_partitions_by_size(ctx, total - d * n):
-                    values = tuple(rows[t[p]][index[lam.parts]] for t in tables)
+                for lam in _partitions_into(total - d * n, ctx.k, ctx.cols):
+                    values = tuple(rows[t[p]][index[lam]] for t in tables)
                     if len(set(values)) != 1 or values[0] < 0:
-                        return (parts[i], parts[j], lam.parts, d, values)
+                        return (parts[i], parts[j], lam, d, values)
     return None
 
 

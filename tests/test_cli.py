@@ -206,6 +206,12 @@ def test_gw_no_feasible_degree(capsys):
     assert code == 0 and json.loads(out)["values"] == []
 
 
+def test_gw_requires_nu(capsys):
+    code, out, err = run(capsys, "gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1")
+    assert code == 1 and out == ""
+    assert "the following arguments are required: --nu" in err
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "all")
     assert code == 0
@@ -339,16 +345,17 @@ def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):
 def test_verify_fails_on_a_corrupted_toric_coefficient(capsys, monkeypatch):
     # sigma_1 * sigma_1 = sigma_2 + sigma_11 in Gr(2,4); the toric backend
     # reports 2 for sigma_11.
-    real = verify.toric_gw_table
+    real = verify._walk_rows
 
-    def corrupted(lam, d, mu, ctx):
-        table = real(lam, d, mu, ctx)
-        if (lam.parts, d, mu.parts) == ((1, 1), 0, (1,)):
-            table = {**table, (1,): table[(1,)] + 1}
-        return table
+    def corrupted(k, n, mu, size, nvars):
+        rows = real(k, n, mu, size, nvars)
+        if mu == (1,) and ((1, 1), 0) in rows:
+            row = rows[(1, 1), 0]
+            rows = {**rows, ((1, 1), 0): {**row, (1,): row[(1,)] + 1}}
+        return rows
 
     argv = ("verify", "--k", "2", "--n", "4", "--scope", "backends")
-    monkeypatch.setattr(verify, "toric_gw_table", corrupted)
+    monkeypatch.setattr(verify, "_walk_rows", corrupted)
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert "FAIL backend_agreement_and_nonnegativity" in out.splitlines()
@@ -376,19 +383,34 @@ def test_backend_tables_intern_no_new_row(monkeypatch):
         dim = len(enumerate_pkn(ctx))
         pairs = [i * dim + j for i in range(dim) for j in range(i, dim)]
         assert [toric[p] for p in pairs] == [niltl[p] for p in pairs] == [ids[p] for p in pairs]
-    real = verify.toric_gw_table
+    real = verify._walk_rows
 
-    def corrupted(lam, d, mu, ctx):
-        table = real(lam, d, mu, ctx)
-        if (lam.parts, d, mu.parts) == ((1, 1), 0, (1,)):
-            table = {**table, (1,): table[(1,)] + 1}
-        return table
+    def corrupted(k, n, mu, size, nvars):
+        rows = real(k, n, mu, size, nvars)
+        if mu == (1,) and ((1, 1), 0) in rows:
+            row = rows[(1, 1), 0]
+            rows = {**rows, ((1, 1), 0): {**row, (1,): row[(1,)] + 1}}
+        return rows
 
-    monkeypatch.setattr(verify, "toric_gw_table", corrupted)
+    monkeypatch.setattr(verify, "_walk_rows", corrupted)
     ctx = GrassContext(2, 4)
     ids, pool = verify.product_rows(ctx)
     verify._toric_rows(ctx, pool)
     assert len(pool) == len(set(ids)) + 1
+
+
+def test_backend_tables_validate_no_item(monkeypatch):
+    # Validation belongs at the public boundary: once warm, the backend tables read the
+    # memos without asking any partition whether it fits.
+    ctx = GrassContext(3, 6)
+    verify.run(ctx, "backends")
+    ids, pool = verify.product_rows(ctx)
+
+    def refuse(self, lam):
+        raise AssertionError(f"require_fits({lam!r}) in the backend tables")
+
+    monkeypatch.setattr(GrassContext, "require_fits", refuse)
+    assert verify.check_backends(ctx, ids, pool) is None
 
 
 def test_verify_fails_on_a_corrupted_niltl_entry(capsys, monkeypatch):
@@ -426,15 +448,17 @@ def test_verify_fails_on_a_corrupted_niltl_entry(capsys, monkeypatch):
 
 def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
     # sigma_1 * sigma_21 = q + sigma_22 in Gr(2,4); all three backends report -1 for q.
-    real_qprod, real_toric, real_op = quantum._basis_qprod, verify.toric_gw_table, verify.schubert_op
+    real_qprod, real_toric, real_op = quantum._basis_qprod, verify._walk_rows, verify.schubert_op
 
     def qprod(ctx, a, b):
         prod = real_qprod(ctx, a, b)
         return {**prod, ((), 1): -1} if (a, b) == ((1,), (2, 1)) else prod
 
-    def toric(lam, d, mu, ctx):
-        table = real_toric(lam, d, mu, ctx)
-        return {**table, (2, 1): -1} if (lam.parts, d, mu.parts) == ((), 1, (1,)) else table
+    def toric(k, n, mu, size, nvars):
+        rows = real_toric(k, n, mu, size, nvars)
+        if (mu, size) != ((1,), 3):
+            return rows
+        return {**rows, ((), 1): {**rows.get(((), 1), {}), (2, 1): -1}}
 
     def op(nu, ctx):
         found = real_op(nu, ctx)
@@ -447,7 +471,7 @@ def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
 
     for module, name, fake in (
         (verify, "_basis_qprod", qprod), (quantum, "_basis_qprod", qprod),
-        (verify, "toric_gw_table", toric), (verify, "schubert_op", op),
+        (verify, "_walk_rows", toric), (verify, "schubert_op", op),
     ):
         monkeypatch.setattr(module, name, fake)
     code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "all", "--format", "json")

@@ -30,7 +30,6 @@ from qgrass.schur import (
     _mult_basis,
     _mult_basis_canonical,
     _partitions_into,
-    toric_gw_table,
 )
 
 
@@ -239,9 +238,14 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
             for mu in basis:
                 for d in range(4):
                     toric_schur_expand(lam, d, mu, ctx, ctx.k + 2)
-                    toric_gw_table(lam, d, mu, ctx)
+                    toric_schur_expand(lam, d, mu, ctx, ctx.k)
     assert seen
     assert all(not nu or nu[0] <= cols for nu, cols in seen)
+
+
+def _toric_table(lam, d, mu, ctx):
+    """{nu parts: coefficient} of the toric expansion of lam/d/mu in k variables."""
+    return {nu.parts: c for nu, c in toric_schur_expand(lam, d, mu, ctx, ctx.k).terms.items()}
 
 
 def _counting_grow_chains(monkeypatch):
@@ -286,7 +290,7 @@ def test_toric_tables_share_one_walk_per_mu_and_size(monkeypatch):
             grew = []
             for lam, d in pairs:
                 before, steps_before = len(calls), len(steps)
-                table = toric_gw_table(lam, d, mu, ctx)
+                table = _toric_table(lam, d, mu, ctx)
                 if len(calls) > before:
                     grew.append((lam, d))
                     nus = _partitions_into(size, ctx.k, ctx.cols)
@@ -302,6 +306,26 @@ def test_toric_tables_share_one_walk_per_mu_and_size(monkeypatch):
                 assert grew == [], (mu, size)
     # Some walks serve nonempty shapes of two different d.
     assert max(spans) == 2
+
+
+def test_toric_walk_keys_are_box_classes_of_the_right_size():
+    # verify scatters each walk row to basis_table(ctx).index[lam], so every key (lam, d)
+    # must be a box class, |lam| + d*n = |mu| + |nu|, with d in 0..(|mu| + |nu|) // n.
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            box = {lam.parts for lam in enumerate_pkn(ctx)}
+            reached = set()
+            for mu in box:
+                for m in range(sum(mu), k * (n - k) + 1):
+                    total = sum(mu) + m
+                    for lam, d in schur._toric_rows(k, n, mu, m, k):
+                        assert lam in box, (k, n, mu, m, lam)
+                        assert sum(lam) + d * n == total, (k, n, mu, m, lam, d)
+                        assert 0 <= d <= total // n, (k, n, mu, m, lam, d)
+                        reached.add(lam)
+            # sigma_mu * sigma_empty = sigma_mu, so every class is reached.
+            assert reached == box, (k, n)
 
 
 def test_toric_route_never_enumerates_a_large_basis(monkeypatch):
@@ -350,16 +374,16 @@ def test_toric_expand_rejects_negative_nvars():
         toric_schur_expand(Partition((2,)), -1, Partition(), GrassContext(1, 3), 2)
 
 
-def test_toric_gw_table_refuses_a_partition_outside_the_box():
-    # The table of lam/d/mu shares its cached walk with every lam of the same size, so a
+def test_toric_expand_refuses_a_partition_outside_the_box():
+    # The expansion of lam/d/mu shares its cached walk with every lam of the same size, so a
     # cached walk must not admit a lam outside the box, on the first call or a later one.
     schur._toric_rows.cache_clear()
     ctx, one = GrassContext(2, 4), Partition((1,))
-    assert toric_gw_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
+    assert _toric_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
     for lam, mu in (((3,), (1,)), ((2, 1), (3,)), ((1, 1, 1), ())):
         for _ in range(2):
             with pytest.raises(QGrassError, match="does not fit"):
-                toric_gw_table(Partition(lam), 0, Partition(mu), ctx)
+                toric_schur_expand(Partition(lam), 0, Partition(mu), ctx, ctx.k)
 
 
 def test_toric_expand_stabilizes_in_nvars():
