@@ -20,7 +20,8 @@ from .tableaux import quantum_kostka
 # Bounds toric-schur's work: the coefficient of s_nu runs over up to 2^len(nu) column sets.
 MAX_NVARS = 16
 # Bounds the word actions of gw --backend niltl|all: (h words built) * N, each word acting on
-# every class.  A call at the bound takes 0.2-0.6 s on a 2-core machine.
+# every class.  Near the bound a cold call takes 0.02-1.1 s (5th to 95th percentile) on a
+# 2-core machine, at most 1.8 s: the query also builds the rest of its (nu_1, nu_2) walk.
 MAX_NILTL_WORK = 2**20
 
 
@@ -72,9 +73,10 @@ def _cmd_qprod(args) -> int:
 def _niltl_words(ctx: GrassContext, nu: Partition, cap: int) -> int:
     """At least the number of h words schubert_op(nu) builds, or cap + 1 once that passes cap.
 
-    masked_det asks row 1 of the k x k determinant for every h_c with c = nu_1 .. nu_1 + k - 1
-    when a lower row can take column 1 (nu_2 > 0); otherwise it builds h_(nu_1) alone.  Lower
-    rows ask for smaller c, and h_c sums C(n, c) words; this sums them over c = 1 .. top.
+    schubert_op reads nu from the walk of every box partition with the same nu_1 and nu_2.
+    Row 1 of their k x k determinant asks for every h_c with c = nu_1 .. nu_1 + k - 1 when a
+    lower row can take column 1 (nu_2 > 0); otherwise it builds h_(nu_1) alone.  Lower rows ask
+    for smaller c, and h_c sums C(n, c) words; this sums them over c = 1 .. top.
     """
     top = min(ctx.n - 1, nu.part(1) + (ctx.k - 1 if nu.part(2) else 0))
     words, binom = 0, 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, QGrassError
@@ -32,6 +32,7 @@ from .partitions import (
     conjugate,
     format_terms,
     masked_det,
+    masked_step,
 )
 
 
@@ -274,30 +275,73 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
 
 
 @lru_cache(maxsize=None)
+def _schubert_walk(
+    ctx: GrassContext, top: int, second: int
+) -> dict[tuple[int, ...], NilTLOperator]:
+    """{parts: the h determinant of nu} for every box nu with nu_1 = top and nu_2 = second.
+
+    The k x k determinant has entry (i, j) = h_c, c = nu_i + j - i, zero from c = n on.
+    The Laplace states after rows 1..r depend on nu_1..nu_r only, and the nu come in
+    lexicographic order over k-tuples, so each prefix is expanded once for all its
+    extensions.  Row i takes column j from i - nu_i (h_0) on.  Later rows have parts at
+    most nu_i, so they start at column i + 1 - nu_i or right of it: rows 1..i leave no
+    column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the key fixes, so a
+    one-row nu takes column 1 alone and builds h_(nu_1) only.
+    """
+    k, n = ctx.k, ctx.n
+    ops: dict[tuple[int, ...], NilTLOperator] = {}
+    # path[r]: the Laplace states after rows 1..r of the current nu.
+    path = [{0: NilTLOperator.identity(ctx)}]
+    prev: tuple[int, ...] = ()
+    for tail in combinations_with_replacement(range(second, -1, -1), max(0, k - 2)):
+        nu = (top, second, *tail)[:k]
+        r = 0
+        while r < len(prev) and prev[r] == nu[r]:
+            r += 1
+        del path[r + 1:]
+        for i in range(r + 1, k + 1):
+            v = nu[i - 1]
+
+            def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
+                c = v + j - i
+                if c >= n:
+                    return None
+                term = op if c == 0 else eh_op("h", c, ctx) @ op
+                return term if sign == 1 else term.scaled(-1)
+
+            columns = range(max(1, i - v), k + 1)
+            need = (1 << max(0, i - (second if i == 1 else v))) - 1
+            path.append(masked_step(path[-1], i, columns, need, entry, operator.add))
+        det = path[-1].get((1 << k) - 1)
+        ops[tuple(p for p in nu if p)] = NilTLOperator.zero(ctx) if det is None else det
+        prev = nu
+    return ops
+
+
+@lru_cache(maxsize=None)
 def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOperator:
     """Operator of quantum multiplication by sigma_lam, as a determinant.
 
-    kind "h" takes the k x k determinant in the h operators; kind "e" the
-    (n-k) x (n-k) determinant in the e operators over the conjugate shape.
-    Both give the same matrix.
+    kind "h" takes the k x k determinant in the h operators, read from the prefix-sharing
+    walk of (lam_1, lam_2); kind "e" expands the (n-k) x (n-k) determinant in the e
+    operators over the conjugate shape with masked_det.  Both give the same matrix.
     """
     ctx.require_fits(lam)
     if kind == "h":
-        rows, m = lam, ctx.k
-    elif kind == "e":
-        rows, m = conjugate(lam), ctx.cols
-    else:
+        return _schubert_walk(ctx, lam.part(1), lam.part(2))[lam.parts]
+    if kind != "e":
         raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
+    rows = conjugate(lam)
 
     def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
         c = rows.part(i) + j - i
         if c < 0 or c >= ctx.n:
             return None
-        term = op if c == 0 else eh_op(kind, c, ctx) @ op
+        term = op if c == 0 else eh_op("e", c, ctx) @ op
         return term if sign == 1 else term.scaled(-1)
 
-    first = [i - rows.part(i) for i in range(1, m + 1)]
-    det = masked_det(m, NilTLOperator.identity(ctx), entry, operator.add, first)
+    first = [i - rows.part(i) for i in range(1, ctx.cols + 1)]
+    det = masked_det(ctx.cols, NilTLOperator.identity(ctx), entry, operator.add, first)
     return NilTLOperator.zero(ctx) if det is None else det
 
 

@@ -3,8 +3,9 @@
 Everything here is immutable and pure.  Partitions are stored canonically
 (weakly decreasing, no trailing zeros), so they can be used as dict keys
 everywhere else in the package.  masked_step is the one determinant kernel:
-masked_det folds it over the rows for the Giambelli and nil-Temperley-Lieb
-backends, and the toric backend calls it row by row.
+masked_det folds it over the rows for the Giambelli classes and the e
+determinants of the nil-Temperley-Lieb backend, and the toric and nil-TL h
+walks call it row by row.
 """
 
 from __future__ import annotations

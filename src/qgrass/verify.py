@@ -10,7 +10,7 @@ run is bounded from (k, n) alone, before any of it is done.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from operator import itemgetter
 
 from .errors import FormMismatch, QGrassError
@@ -104,23 +104,27 @@ def check_backends(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
 
     All three tables intern into one pool, so two rows agree when their ids do.  Only a
     pair whose ids differ, or whose row is negative, is searched for its first (d, lam).
+    The pairs i <= j come first.  Then each pair i > j compares the nil-TL row (i, j),
+    sigma_(nu_j) acting on sigma_(mu_i), which is computed apart from row (j, i), with the
+    bcf row, and with the toric row (i, j), or (j, i) where (i, j) is None.
     """
     table = basis_table(ctx)
     parts, size, index, n, dim = table.parts, table.size, table.index, ctx.n, len(table.parts)
-    tables = (ids, _toric_rows(ctx, pool), _niltl_rows(ctx, pool))
+    toric, niltl = _toric_rows(ctx, pool), _niltl_rows(ctx, pool)
     rows = list(pool)
     negative = [min(row) < 0 for row in rows]
-    for i in range(dim):
-        for j in range(i, dim):
-            p = i * dim + j
-            if ids[p] == tables[1][p] == tables[2][p] and not negative[ids[p]]:
-                continue
-            total = size[i] + size[j]
-            for d in range(total // n + 1):
-                for lam in _partitions_into(total - d * n, ctx.k, ctx.cols):
-                    values = tuple(rows[t[p]][index[lam]] for t in tables)
-                    if len(set(values)) != 1 or values[0] < 0:
-                        return (parts[i], parts[j], lam, d, values)
+    below = ((i, j) for i in range(dim) for j in range(i))
+    for i, j in chain(combinations_with_replacement(range(dim), 2), below):
+        p = i * dim + j
+        found = (ids[p], toric[p] if toric[p] is not None else toric[j * dim + i], niltl[p])
+        if found[0] == found[1] == found[2] and not negative[found[0]]:
+            continue
+        total = size[i] + size[j]
+        for d in range(total // n + 1):
+            for lam in _partitions_into(total - d * n, ctx.k, ctx.cols):
+                values = tuple(rows[t][index[lam]] for t in found)
+                if len(set(values)) != 1 or values[0] < 0:
+                    return (parts[i], parts[j], lam, d, values)
     return None
 
 

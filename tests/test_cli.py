@@ -446,6 +446,29 @@ def test_verify_fails_on_a_corrupted_niltl_entry(capsys, monkeypatch):
     assert code == 0 and out.splitlines() == ["PASS backend_agreement_and_nonnegativity"]
 
 
+def test_verify_compares_the_niltl_rows_below_the_diagonal(capsys, monkeypatch):
+    # Row (i, j) with i > j is sigma_(nu_j) acting on sigma_(mu_i).  On Gr(2,4) the operator
+    # of sigma_1 sends sigma_2 to sigma_21; a 2 there shows only in the rows i > j.
+    real = verify.schubert_op
+
+    def corrupted(nu, ctx):
+        op = real(nu, ctx)
+        if nu.parts == (1,):
+            index = basis_table(ctx).index
+            rows = [dict(row) for row in op.rows]
+            rows[index[(2, 1)]][index[(2,)]] += 1
+            op = NilTLOperator(ctx, rows, op.degree)
+        return op
+
+    monkeypatch.setattr(verify, "schubert_op", corrupted)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "backends")
+    assert code == 2
+    assert out.splitlines() == [
+        "FAIL backend_agreement_and_nonnegativity",
+        "  counterexample: ((2,), (1,), (2, 1), 0, (1, 1, 2))",
+    ]
+
+
 def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
     # sigma_1 * sigma_21 = q + sigma_22 in Gr(2,4); all three backends report -1 for q.
     real_qprod, real_toric, real_op = quantum._basis_qprod, verify._walk_rows, verify.schubert_op

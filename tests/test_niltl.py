@@ -18,6 +18,7 @@ from qgrass import (
     generator_op,
     is_toric,
     make_shape,
+    niltl,
     quantum_product,
     schubert_class,
     schubert_op,
@@ -260,9 +261,35 @@ def test_schubert_op_is_multiplication_matrix():
 
 
 def test_schubert_op_h_and_e_determinants_agree():
-    for ctx in (C24, GrassContext(2, 5)):
-        for lam in enumerate_pkn(ctx):
-            assert schubert_op(lam, ctx, "h") == schubert_op(lam, ctx, "e")
+    # Kind "h" is the prefix-sharing walk, kind "e" the masked_det oracle over the conjugate.
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            for lam in enumerate_pkn(ctx):
+                assert schubert_op(lam, ctx, "h") == schubert_op(lam, ctx, "e"), (k, n, lam)
+
+
+def test_schubert_op_builds_only_the_h_words_the_cli_prices(monkeypatch):
+    # gw --backend niltl prices h_1 .. h_top, top = min(n - 1, nu_1 + (k - 1 if nu_2 else 0)).
+    # A cold query builds the walk of its (nu_1, nu_2) and asks for no h_c above top.
+    asked = []
+    real = niltl.eh_op
+
+    def recorder(kind, r, ctx):
+        asked.append((kind, r))
+        return real(kind, r, ctx)
+
+    monkeypatch.setattr(niltl, "eh_op", recorder)
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            for nu in enumerate_pkn(ctx):
+                schubert_op.cache_clear()
+                niltl._schubert_walk.cache_clear()
+                asked.clear()
+                schubert_op(nu, ctx)
+                top = min(n - 1, nu.part(1) + (k - 1 if nu.part(2) else 0))
+                assert all(kind == "h" and r <= top for kind, r in asked), (k, n, nu, asked)
 
 
 def test_verify_relations_all_pass():
