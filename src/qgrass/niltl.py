@@ -27,6 +27,7 @@ from .partitions import (
     GrassContext,
     Partition,
     _bits_to_parts,
+    _partition,
     _word_bits,
     basis_table,
     conjugate,
@@ -136,7 +137,7 @@ class NilTLOperator:
         table = basis_table(self.ctx)
         j = table.index[mu.parts]
         return {
-            Partition(table.parts[i]): self._entry(table, i, j)
+            _partition(table.parts[i]): self._entry(table, i, j)
             for i, row in enumerate(self.rows)
             if j in row
         }

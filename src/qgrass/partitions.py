@@ -1,11 +1,13 @@
 """Partitions in a k x (n-k) box, 01-words, and the statistics built on them.
 
 Everything here is immutable and pure.  Partitions are stored canonically
-(weakly decreasing, no trailing zeros), so they can be used as dict keys
-everywhere else in the package.  masked_step is the one determinant kernel:
-masked_det folds it over the rows for the Giambelli classes and the e
-determinants of the nil-Temperley-Lieb backend, and the toric and nil-TL h
-walks call it row by row.
+(weakly decreasing, no trailing zeros) and interned, one object per parts
+tuple, as contexts are one object per (k, n); both hash and compare by
+identity, so they are cheap dict keys everywhere else in the package.
+masked_step is the one determinant kernel: masked_det folds it over the
+rows for the Giambelli classes and the e determinants of the
+nil-Temperley-Lieb backend, and the toric and nil-TL h walks call it row by
+row.
 """
 
 from __future__ import annotations
@@ -26,18 +28,28 @@ from .errors import (
 )
 
 
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Partition:
-    """A partition: weakly decreasing nonnegative integers, trailing zeros dropped."""
+    """A partition: weakly decreasing nonnegative integers, trailing zeros dropped.
+
+    There is one object per parts tuple, package-wide: the constructor checks
+    the parts, then returns the interned object.  So partitions hash and
+    compare by identity, which is equality of parts.
+    """
 
     __slots__ = ("parts",)
 
     parts: tuple[int, ...]
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(parts)
         prev = parts[0] if parts else 0
         for p in parts:
-            # type(), not isinstance(): bool is an int subclass and is refused.
+            # type(), not isinstance(): bool is an int subclass and is refused.  The
+            # check runs before the lookup, where (True,) and (1.0,) would find (1,).
             if type(p) is not int:
                 raise NonIntegerPart(f"parts {parts} contain the non-integer {p!r}")
             if p > prev:
@@ -47,10 +59,16 @@ class Partition:
             raise NegativePart(f"parts {parts} contain a negative entry")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        return _partition(parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    def __init__(self, parts: Iterable[int] = ()):
+        """Construction happens in __new__; this hook lets a profiler count constructor calls."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so they return this object.
+        return (Partition, (self.parts,))
 
     @property
     def size(self) -> int:
@@ -71,44 +89,81 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition{self.parts!r}"
+
+
+class _PartitionTable(dict):
+    """parts -> the one Partition of those parts, made on the first lookup.
+
+    A dict filled with setdefault, not an lru_cache: an lru_cache stores after
+    its function returns, so two threads that miss one key at once would each
+    keep an object of their own.  The contexts' table works the same way.
+    """
+
+    def __missing__(self, parts: tuple[int, ...]) -> Partition:
+        lam = object.__new__(Partition)
+        object.__setattr__(lam, "parts", parts)
+        return self.setdefault(parts, lam)
+
+
+_PARTITIONS = _PartitionTable()
+# The one Partition of parts that are already canonical, such as a kernel's output.
+_partition = _PARTITIONS.__getitem__
 
 
 EMPTY_PARTITION = Partition()
 
 
-@dataclass(frozen=True)
 class GrassContext:
-    """The pair (k, n) fixing the box: k rows, n-k columns."""
+    """The pair (k, n) fixing the box: k rows, n-k columns.
+
+    One object per (k, n), as for Partition, so contexts hash and compare by
+    identity.
+    """
+
+    __slots__ = ("k", "n", "cols")
 
     k: int
     n: int
+    cols: int
 
-    def __post_init__(self):
-        if not (1 <= self.k < self.n):
-            raise QGrassError(f"context requires 1 <= k < n, got k={self.k}, n={self.n}")
+    def __new__(cls, k: int, n: int) -> "GrassContext":
+        # Checked before the lookup, where True and 2.0 would find the context of 1 and 2.
+        if type(k) is not int or type(n) is not int:
+            raise QGrassError(f"context requires integer k and n, got k={k!r}, n={n!r}")
+        if not 1 <= k < n:
+            raise QGrassError(f"context requires 1 <= k < n, got k={k}, n={n}")
+        ctx = _CONTEXTS.get((k, n))
+        if ctx is None:
+            ctx = object.__new__(cls)
+            for name, value in (("k", k), ("n", n), ("cols", n - k)):
+                object.__setattr__(ctx, name, value)
+            ctx = _CONTEXTS.setdefault((k, n), ctx)
+        return ctx
 
-    @property
-    def cols(self) -> int:
-        return self.n - self.k
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return (GrassContext, (self.k, self.n))
+
+    def __repr__(self) -> str:
+        return f"GrassContext(k={self.k}, n={self.n})"
 
     @property
     def num_classes(self) -> int:
         return math.comb(self.n, self.k)
 
     def fits(self, lam: Partition) -> bool:
-        return len(lam) <= self.k and (not lam.parts or lam.parts[0] <= self.cols)
+        parts = lam.parts
+        return len(parts) <= self.k and (not parts or parts[0] <= self.cols)
 
     def require_fits(self, lam: Partition) -> None:
         if not self.fits(lam):
             raise DoesNotFitBox(f"{lam!r} does not fit the {self.k} x {self.cols} box")
+
+
+_CONTEXTS: dict[tuple[int, int], GrassContext] = {}
 
 
 @dataclass(frozen=True)
@@ -204,14 +259,15 @@ def from_word01(word: Word01, ctx: GrassContext) -> Partition:
     bits = tuple(word.bits)
     if len(bits) != ctx.n or sum(bits) != ctx.k or any(b not in (0, 1) for b in bits):
         raise QGrassError(f"not a length-{ctx.n} word with {ctx.k} ones: {bits}")
-    return Partition(_bits_to_parts(bits, ctx.k))
+    return _partition(_bits_to_parts(bits, ctx.k))
 
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    if not lam.parts:
+    parts = lam.parts
+    if not parts:
         return EMPTY_PARTITION
-    return Partition(sum(1 for p in lam.parts if p >= j) for j in range(1, lam.parts[0] + 1))
+    return _partition(tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)))
 
 
 def complement(lam: Partition, ctx: GrassContext) -> Partition:
@@ -227,7 +283,7 @@ def cyclic_shift(lam: Partition, ctx: GrassContext, a: int) -> Partition:
     if a == 0:
         return lam
     bits = _word_bits(lam.parts, ctx.k, ctx.n)
-    return Partition(_bits_to_parts(bits[a:] + bits[:a], ctx.k))
+    return _partition(_bits_to_parts(bits[a:] + bits[:a], ctx.k))
 
 
 @lru_cache(maxsize=None)
@@ -292,16 +348,7 @@ def _partitions_into(total: int, max_parts: int, max_part: int) -> tuple[tuple[i
 
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:
     """All box partitions in graded lexicographic order (by size, then parts)."""
-    table = basis_table(ctx)
-    return [table.partition[t] for t in table.parts]
-
-
-class _Interned(dict):
-    """parts -> the one Partition of those parts, built on first lookup."""
-
-    def __missing__(self, parts: tuple[int, ...]) -> Partition:
-        lam = self[parts] = Partition(parts)
-        return lam
+    return [_partition(t) for t in basis_table(ctx).parts]
 
 
 class BasisTable:
@@ -314,9 +361,6 @@ class BasisTable:
 
     def __init__(self, ctx: GrassContext):
         self.k, self.n = ctx.k, ctx.n
-        # partition[parts]: the shared, immutable Partition of a box partition,
-        # which products and enumerations hand out instead of new objects.
-        self.partition: dict[tuple[int, ...], Partition] = _Interned()
 
     @cached_property
     def parts(self) -> tuple[tuple[int, ...], ...]:
@@ -360,8 +404,7 @@ def basis_table(ctx: GrassContext) -> BasisTable:
 
 def box_partitions_by_size(ctx: GrassContext, m: int) -> list[Partition]:
     """Box partitions with exactly m cells, in lexicographic order."""
-    interned = basis_table(ctx).partition
-    return [interned[t] for t in _partitions_into(m, ctx.k, ctx.cols)]
+    return [_partition(t) for t in _partitions_into(m, ctx.k, ctx.cols)]
 
 
 def masked_step(states: dict, i: int, columns: Iterable[int], need: int, entry, add) -> dict:

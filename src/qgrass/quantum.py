@@ -17,8 +17,10 @@ from typing import Mapping
 from .cylindric import CylindricLoop
 from .errors import ContextMismatch, IndexOutOfRange, QGrassError, TooManyRows
 from .partitions import (
+    EMPTY_PARTITION,
     GrassContext,
     Partition,
+    _partition,
     basis_table,
     format_terms,
     graded_key,
@@ -135,11 +137,12 @@ class QuantumClass:
 
 
 def schubert_class(lam: Partition, ctx: GrassContext, d: int = 0) -> QuantumClass:
-    return QuantumClass(ctx, {(lam, d): 1}, localized=d < 0)
+    ctx.require_fits(lam)
+    return QuantumClass._from_kernel(ctx, {(lam, d): 1}, d < 0)
 
 
 def unit_class(ctx: GrassContext) -> QuantumClass:
-    return QuantumClass(ctx, {(Partition(), 0): 1})
+    return QuantumClass(ctx, {(EMPTY_PARTITION, 0): 1})
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def rimhook_reduce(tau: Partition, ctx: GrassContext) -> RimHookReduction:
     if raw is None:
         return RimHookReduction(None, None, None, True)
     core, d, sign = raw
-    return RimHookReduction(Partition(core), d, sign, False)
+    return RimHookReduction(_partition(core), d, sign, False)
 
 
 def _basis_qprod(
@@ -203,7 +206,7 @@ def _basis_qprod(
 def _qprod_raw(
     k: int, n: int, a: tuple[int, ...], b: tuple[int, ...]
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    # Keyed on (k, n) rather than the context, whose __hash__ runs in Python.
+    # Keyed on (k, n) like the other kernel memos: kernels take ints and tuples, not objects.
     out: dict[tuple[tuple[int, ...], int], int] = {}
     for tau, c in _mult_basis_canonical(a, b, k).items():
         raw = _reduce_raw(tau, k, n)
@@ -219,11 +222,19 @@ def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
     """Bilinear extension of the basis product; commutative and associative.
 
     The sum runs on the kernel's (parts, degree) keys; each surviving term is
-    then wrapped once, in the context's shared Partition of its parts.
+    then wrapped once, in the shared Partition of its parts.
     """
-    if f.ctx != g.ctx:
-        raise ContextMismatch("classes live over different contexts")
     ctx = f.ctx
+    if g.ctx is not ctx:
+        raise ContextMismatch("classes live over different contexts")
+    if len(f.terms) == 1 == len(g.terms):
+        # One term each: the kernel's terms are distinct and nonzero, so nothing sums.
+        [((lam, d1), a)] = f.terms.items()
+        [((mu, d2), b)] = g.terms.items()
+        ab, shift = a * b, d1 + d2
+        raw = _basis_qprod(ctx, lam.parts, mu.parts)
+        terms = {(_partition(nu), shift + dd): ab * c for (nu, dd), c in raw.items()}
+        return QuantumClass._from_kernel(ctx, terms, f.localized or g.localized)
     acc: dict[tuple[tuple[int, ...], int], int] = {}
     for (lam, d1), a in f.terms.items():
         for (mu, d2), b in g.terms.items():
@@ -231,8 +242,7 @@ def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
             for (nu, dd), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
                 key = (nu, shift + dd)
                 acc[key] = acc.get(key, 0) + ab * c
-    interned = basis_table(ctx).partition
-    terms = {(interned[nu], d): c for (nu, d), c in acc.items() if c}
+    terms = {(_partition(nu), d): c for (nu, d), c in acc.items() if c}
     return QuantumClass._from_kernel(ctx, terms, f.localized or g.localized)
 
 

@@ -22,6 +22,7 @@ from .errors import NotContained, QGrassError, VarMismatch
 from .partitions import (
     GrassContext,
     Partition,
+    _partition,
     _partitions_into,
     format_terms,
     graded_key,
@@ -244,7 +245,7 @@ def schur_product(
     for lam, a in f.terms.items():
         for mu, b in g.terms.items():
             for nu, c in _mult_basis_canonical(lam.parts, mu.parts, cap).items():
-                key = Partition(nu)
+                key = _partition(nu)
                 acc[key] = acc.get(key, 0) + a * b * c
     return SchurExpansion(f.nvars, acc)
 
@@ -258,7 +259,7 @@ def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     for parts in _partitions_into(total, nvars, lam.part(1)):
         c = _lr_count(mu.parts, parts, lam.parts)
         if c:
-            terms[Partition(parts)] = c
+            terms[_partition(parts)] = c
     return SchurExpansion(nvars, terms)
 
 
@@ -359,4 +360,4 @@ def toric_schur_expand(
     if size < 0:
         return SchurExpansion(nvars)
     row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
-    return SchurExpansion(nvars, {Partition(nu): c for nu, c in row.items()})
+    return SchurExpansion(nvars, {_partition(nu): c for nu, c in row.items()})

@@ -17,6 +17,7 @@ from .partitions import (
     Partition,
     _bits_to_parts,
     _diag_table,
+    _partition,
     _phi_table,
     _word_bits,
     basis_table,
@@ -206,7 +207,7 @@ def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext)
     moved = {}
     for (p, e), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
         nu = table.shift[table.index[p]][back]
-        d0 = diag(table.partition[table.parts[nu]], ctx, 0)
+        d0 = diag(_partition(table.parts[nu]), ctx, 0)
         moved[(table.parts[table.complement[nu]], d0 - e)] = c
     return moved == _basis_qprod(
         ctx, complement(lam, ctx).parts, complement(mu, ctx).parts

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .cylindric import CylindricLoop, CylindricShape, Direction
 from .errors import QGrassError
-from .partitions import GrassContext, Partition
+from .partitions import GrassContext, Partition, _partition
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +68,7 @@ def strip_successors(
         raise QGrassError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
     ctx = loop.ctx
     return [
-        CylindricLoop(Partition(parts), loop.offset + dinc, ctx)
+        CylindricLoop(_partition(parts), loop.offset + dinc, ctx)
         for parts, dinc in _strip_successors_raw(
             loop.base.parts, ctx.k, ctx.cols, size, direction
         )

@@ -15,7 +15,14 @@ from operator import itemgetter
 
 from .errors import FormMismatch, QGrassError
 from .niltl import schubert_op, verify_relations
-from .partitions import GrassContext, _partitions_into, basis_table, diag, enumerate_pkn
+from .partitions import (
+    GrassContext,
+    _partition,
+    _partitions_into,
+    basis_table,
+    diag,
+    enumerate_pkn,
+)
 from .quantum import _basis_qprod, giambelli_class, schubert_class
 from .schur import _lr_count, _toric_rows as _walk_rows
 from .symmetry import dmin_dmax
@@ -266,7 +273,7 @@ def strange_transport_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | 
     table = basis_table(ctx)
     n, size, comp = ctx.n, table.size, table.complement
     nu = [shift[-ctx.k % n] for shift in table.shift]
-    d0 = [diag(table.partition[table.parts[x]], ctx, 0) for x in nu]
+    d0 = [diag(_partition(table.parts[x]), ctx, 0) for x in nu]
     top = ctx.k * ctx.cols
     defect = [n * d0[p] - top - size[nu[p]] + size[p] for p in range(len(nu))]
     return _duality_sweep(ctx, ids, pool, comp, [comp[x] for x in nu], defect, lambda i, j: 0)
@@ -285,7 +292,7 @@ def strange_multiplicative_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tup
     n, size = ctx.n, table.size
     image = [table.shift[c][ctx.cols] for c in table.complement]
     defect = [
-        size[image[x]] + size[x] - n * diag(table.partition[p], ctx, 0)
+        size[image[x]] + size[x] - n * diag(_partition(p), ctx, 0)
         for x, p in enumerate(table.parts)
     ]
     return _duality_sweep(ctx, ids, pool, image, image, defect, lambda i, j: defect[i] + defect[j])

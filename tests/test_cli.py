@@ -138,6 +138,14 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1 and "cap" in err
 
 
+def test_a_context_outside_1_le_k_lt_n_is_refused(capsys):
+    for k, n in (("4", "4"), ("0", "4"), ("5", "4"), ("-1", "3")):
+        code, out, err = run(capsys, "qprod", "--k", k, "--n", n, "--lambda", "1", "--mu", "1")
+        assert code == 1 and out == "" and "context requires" in err and "Traceback" not in err
+    code, out, err = run(capsys, "verify", "--k", "0", "--n", "3")
+    assert code == 1 and out == "" and "context requires" in err
+
+
 def test_verify_bounds_the_relation_suite(capsys):
     # Gr(1,18): N = 18 is under the cap, but 2^18 * 18 is above the relation bound
     argv = ("verify", "--k", "1", "--n", "18")

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -13,6 +17,7 @@ from qgrass import (
     NonIntegerPart,
     NotWeaklyDecreasing,
     Partition,
+    QGrassError,
     complement,
     conjugate,
     cyclic_shift,
@@ -23,9 +28,17 @@ from qgrass import (
     make_partition,
     parse_partition,
     phi,
+    quantum_product,
+    schubert_class,
     to_word01,
 )
-from qgrass.partitions import basis_table, box_partitions_by_size, format_terms, masked_det
+from qgrass.partitions import (
+    EMPTY_PARTITION,
+    basis_table,
+    box_partitions_by_size,
+    format_terms,
+    masked_det,
+)
 
 CTX = GrassContext(4, 10)
 FIG1 = Partition((6, 4, 4, 2))
@@ -262,12 +275,102 @@ def test_masked_det_matches_leibniz():
 
 def test_enumerations_share_the_interned_partitions():
     ctx = GrassContext(3, 6)
-    interned = basis_table(ctx).partition
     basis = enumerate_pkn(ctx)
     again = enumerate_pkn(ctx)
     assert basis is not again
-    assert all(a is b and interned[a.parts] is a for a, b in zip(basis, again))
+    assert all(a is b and Partition(a.parts) is a for a, b in zip(basis, again))
     basis.clear()
     assert len(enumerate_pkn(ctx)) == ctx.num_classes
     for m in range(ctx.k * ctx.cols + 1):
-        assert all(interned[lam.parts] is lam for lam in box_partitions_by_size(ctx, m))
+        assert all(Partition(lam.parts) is lam for lam in box_partitions_by_size(ctx, m))
+    # one table for the package: a box partition of Gr(2,5) is that of Gr(3,6)
+    shared = {lam.parts: lam for lam in enumerate_pkn(ctx)}
+    assert all(shared[lam.parts] is lam for lam in enumerate_pkn(GrassContext(2, 5)))
+
+
+def test_one_partition_per_parts():
+    lam = Partition((3, 1))
+    assert Partition([3, 1]) is lam
+    assert Partition(p for p in (3, 1)) is lam
+    assert Partition((3, 1, 0, 0)) is lam
+    assert make_partition([3, 1]) is lam and parse_partition("3,1") is lam
+    assert Partition() is Partition((0, 0)) is EMPTY_PARTITION
+    assert Partition((3, 1)) == lam and Partition((3,)) != lam
+    assert conjugate(conjugate(lam)) is lam
+
+
+def test_equal_keys_of_other_types_do_not_find_the_interned_object():
+    one = Partition((1,))
+    # (True,) and (1.0,) equal (1,) as dict keys: the type check runs before the lookup.
+    for parts in ((True,), (1.0,), (1, True)):
+        with pytest.raises(NonIntegerPart):
+            Partition(parts)
+    assert Partition((1,)) is one
+    ctx = GrassContext(1, 2)
+    for k, n in ((True, 2), (1.0, 2), (1, 2.0), (2.5, 5), ("2", 5), (None, 3)):
+        with pytest.raises(QGrassError, match="integer"):
+            GrassContext(k, n)
+    assert GrassContext(1, 2) is ctx and type(ctx.k) is int
+
+
+def test_one_context_per_k_and_n():
+    ctx = GrassContext(2, 5)
+    assert GrassContext(k=2, n=5) is ctx and GrassContext(2, 5) == ctx
+    assert GrassContext(3, 5) != ctx
+    assert (ctx.k, ctx.n, ctx.cols, ctx.num_classes) == (2, 5, 3, 10)
+    assert repr(ctx) == "GrassContext(k=2, n=5)"
+    for k, n in ((0, 3), (3, 3), (4, 3), (-1, 2)):
+        with pytest.raises(QGrassError, match="context requires 1 <= k < n"):
+            GrassContext(k, n)
+    for obj, name in ((ctx, "k"), (Partition((2, 1)), "parts")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+def test_pickle_and_copy_return_the_interned_objects():
+    ctx = GrassContext(2, 5)
+    for obj in (Partition((2, 1)), EMPTY_PARTITION, ctx):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+    # inside containers too, so a copied class still equals the original
+    s21, s1 = schubert_class(Partition((2, 1)), ctx), schubert_class(Partition((1,)), ctx)
+    product = quantum_product(s21, s1)
+    assert copy.deepcopy(product) == product
+    assert pickle.loads(pickle.dumps(product)) == product
+
+
+def test_a_partition_is_not_its_parts():
+    lam = Partition((2, 1))
+    assert lam != (2, 1) and (2, 1) != lam
+    assert len({lam: "partition", (2, 1): "tuple"}) == 2
+
+
+def test_threads_building_one_key_get_one_object():
+    # A switch interval of 1 us makes threads interleave inside the constructor, where a
+    # cache that checks and then stores hands two threads two objects of one key.
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(200):
+            parts, kn = (10**6 + trial, 1), (trial + 1, 10**6 + trial)
+            barrier = threading.Barrier(8)
+            got = []
+
+            def build():
+                barrier.wait(timeout=10)
+                got.append((Partition(parts), GrassContext(*kn)))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            lam, ctx = Partition(parts), GrassContext(*kn)
+            assert len(got) == 8 and all(a is lam and c is ctx for a, c in got), trial
+    finally:
+        sys.setswitchinterval(before)

@@ -305,6 +305,9 @@ def test_product_matches_reference_sum():
         (multi.q_shift(2), s2.q_shift(1)),
         (local, multi),
         (multi, s1.q_shift(-3, localized=True)),
+        # one term each, scaled and shifted
+        (s2.scaled(-3).q_shift(2), cls((2, 1), ctx, d=1).scaled(5)),
+        (local, s1.scaled(2)),
     ]
     basis = [schubert_class(lam, ctx) for lam in enumerate_pkn(ctx)]
     pairs += [(a, b) for a in basis for b in basis]
@@ -321,18 +324,17 @@ def test_product_matches_reference_sum():
 
 def test_product_terms_are_shared_and_independent():
     ctx = GrassContext(2, 5)
-    interned = basis_table(ctx).partition
     f, g = cls((2, 1), ctx), cls((2,), ctx) + cls((1, 1), ctx)
     first = quantum_product(f, g)
-    for lam, _ in first.terms:
-        assert interned[lam.parts] is lam
-    before = dict(interned)
+    shared = [lam for lam, _ in first.terms]
+    assert all(Partition(lam.parts) is lam for lam in shared)
     want = reference_product(f, g)
     first.terms.clear()
     first.terms[(Partition((9, 9)), 0)] = 7
-    assert quantum_product(f, g) == want
-    assert dict(interned) == before
-    assert all(interned[parts] is lam for parts, lam in before.items())
+    again = quantum_product(f, g)
+    assert again == want
+    assert [lam for lam, _ in again.terms] == shared
+    assert all(Partition(lam.parts) is lam for lam in shared)
 
 
 def test_product_does_not_enumerate_the_basis():
@@ -340,5 +342,7 @@ def test_product_does_not_enumerate_the_basis():
     # pay for the sweep tables of its context.
     ctx = GrassContext(8, 18)
     a = schubert_class(Partition((3, 2, 1)), ctx)
-    assert terms(quantum_product(a, a))[((6, 4, 2), 0)] == 1
-    assert set(vars(basis_table(ctx))) == {"k", "n", "partition"}
+    product = quantum_product(a, a)
+    assert terms(product)[((6, 4, 2), 0)] == 1
+    assert all(Partition(lam.parts) is lam for lam, _ in product.terms)
+    assert set(vars(basis_table(ctx))) == {"k", "n"}
