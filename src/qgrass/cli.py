@@ -92,14 +92,15 @@ def _cmd_gw(args) -> int:
     ctx = _context(args)
     mu, nu, lam = args.mu, args.nu, args.lam
     if args.d is not None:
+        if args.d < 0:
+            raise QGrassError("gw requires --d >= 0")
         degrees = [args.d]
     else:
-        num = mu.size + nu.size - lam.size
-        q, r = divmod(num, ctx.n)
+        q, r = divmod(mu.size + nu.size - lam.size, ctx.n)
         degrees = [q] if (r == 0 and q >= 0) else []
     for p in (mu, nu, lam):
         ctx.require_fits(p)
-    built = any(d >= 0 and lam.size == mu.size + nu.size - d * ctx.n for d in degrees)
+    built = any(lam.size == mu.size + nu.size - d * ctx.n for d in degrees)
     if args.backend in ("niltl", "all") and built:
         # Every word acts on all N classes, and N >= n bounds how far the words are counted.
         words = _niltl_words(ctx, nu, MAX_NILTL_WORK // ctx.n)

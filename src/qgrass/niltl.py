@@ -33,7 +33,7 @@ from .partitions import (
     conjugate,
     format_terms,
     masked_det,
-    masked_step,
+    masked_walk,
 )
 
 
@@ -275,6 +275,19 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
     return eh_op("h", ctx.n - l, ctx) @ eh_op("e", l, ctx)
 
 
+def _eh_entry(kind: str, parts: Sequence[int], ctx: GrassContext):
+    """masked_step's entry (i, j): the kind operator of degree parts[i - 1] + j - i, 0 from n on."""
+
+    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
+        c = parts[i - 1] + j - i
+        if c >= ctx.n:
+            return None
+        term = op if c == 0 else eh_op(kind, c, ctx) @ op
+        return term if sign == 1 else term.scaled(-1)
+
+    return entry
+
+
 @lru_cache(maxsize=None)
 def _schubert_walk(
     ctx: GrassContext, top: int, second: int
@@ -282,41 +295,25 @@ def _schubert_walk(
     """{parts: the h determinant of nu} for every box nu with nu_1 = top and nu_2 = second.
 
     The k x k determinant has entry (i, j) = h_c, c = nu_i + j - i, zero from c = n on.
-    The Laplace states after rows 1..r depend on nu_1..nu_r only, and the nu come in
-    lexicographic order over k-tuples, so each prefix is expanded once for all its
-    extensions.  Row i takes column j from i - nu_i (h_0) on.  Later rows have parts at
-    most nu_i, so they start at column i + 1 - nu_i or right of it: rows 1..i leave no
-    column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the key fixes, so a
-    one-row nu takes column 1 alone and builds h_(nu_1) only.
+    The nu come in lexicographic order over k-tuples, so masked_walk expands each prefix
+    once for all its extensions.  Row i takes column j from i - nu_i (h_0) on.  Later rows
+    have parts at most nu_i, so they start at column i + 1 - nu_i or right of it: rows
+    1..i leave no column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the
+    walk fixes, so a one-row nu takes column 1 alone and builds h_(nu_1) only.
     """
-    k, n = ctx.k, ctx.n
-    ops: dict[tuple[int, ...], NilTLOperator] = {}
-    # path[r]: the Laplace states after rows 1..r of the current nu.
-    path = [{0: NilTLOperator.identity(ctx)}]
-    prev: tuple[int, ...] = ()
-    for tail in combinations_with_replacement(range(second, -1, -1), max(0, k - 2)):
-        nu = (top, second, *tail)[:k]
-        r = 0
-        while r < len(prev) and prev[r] == nu[r]:
-            r += 1
-        del path[r + 1:]
-        for i in range(r + 1, k + 1):
-            v = nu[i - 1]
+    k = ctx.k
 
-            def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
-                c = v + j - i
-                if c >= n:
-                    return None
-                term = op if c == 0 else eh_op("h", c, ctx) @ op
-                return term if sign == 1 else term.scaled(-1)
+    def row(nu, i):
+        v = nu[i - 1]
+        need = (1 << max(0, i - (second if i == 1 else v))) - 1
+        return range(max(1, i - v), k + 1), need, _eh_entry("h", nu, ctx)
 
-            columns = range(max(1, i - v), k + 1)
-            need = (1 << max(0, i - (second if i == 1 else v))) - 1
-            path.append(masked_step(path[-1], i, columns, need, entry, operator.add))
-        det = path[-1].get((1 << k) - 1)
-        ops[tuple(p for p in nu if p)] = NilTLOperator.zero(ctx) if det is None else det
-        prev = nu
-    return ops
+    tails = combinations_with_replacement(range(second, -1, -1), max(0, k - 2))
+    nus = ((top, second, *tail)[:k] for tail in tails)
+    return {
+        tuple(p for p in nu if p): NilTLOperator.zero(ctx) if det is None else det
+        for nu, det in masked_walk(nus, NilTLOperator.identity(ctx), row, operator.add)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -332,16 +329,10 @@ def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOper
         return _schubert_walk(ctx, lam.part(1), lam.part(2))[lam.parts]
     if kind != "e":
         raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
-    rows = conjugate(lam)
-
-    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
-        c = rows.part(i) + j - i
-        if c < 0 or c >= ctx.n:
-            return None
-        term = op if c == 0 else eh_op("e", c, ctx) @ op
-        return term if sign == 1 else term.scaled(-1)
-
-    first = [i - rows.part(i) for i in range(1, ctx.cols + 1)]
+    conj = conjugate(lam)
+    rows = [conj.part(i) for i in range(1, ctx.cols + 1)]
+    entry = _eh_entry("e", rows, ctx)
+    first = [i - p for i, p in enumerate(rows, 1)]
     det = masked_det(ctx.cols, NilTLOperator.identity(ctx), entry, operator.add, first)
     return NilTLOperator.zero(ctx) if det is None else det
 

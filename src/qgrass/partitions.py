@@ -4,10 +4,10 @@ Everything here is immutable and pure.  Partitions are stored canonically
 (weakly decreasing, no trailing zeros) and interned, one object per parts
 tuple, as contexts are one object per (k, n); both hash and compare by
 identity, so they are cheap dict keys everywhere else in the package.
-masked_step is the one determinant kernel: masked_det folds it over the
-rows for the Giambelli classes and the e determinants of the
-nil-Temperley-Lieb backend, and the toric and nil-TL h walks call it row by
-row.
+masked_step is the one determinant kernel and masked_walk its one fold: the
+toric and nil-TL h walks run it over many keys, and masked_det, behind the
+Giambelli classes and the e determinants of the nil-Temperley-Lieb backend,
+over one.
 """
 
 from __future__ import annotations
@@ -93,21 +93,24 @@ class Partition:
         return f"Partition{self.parts!r}"
 
 
-class _PartitionTable(dict):
-    """parts -> the one Partition of those parts, made on the first lookup.
+class _InternTable(dict):
+    """key -> the one cls object of that key, its slots fields(key), made on the first lookup.
 
-    A dict filled with setdefault, not an lru_cache: an lru_cache stores after
-    its function returns, so two threads that miss one key at once would each
-    keep an object of their own.  The contexts' table works the same way.
+    Filled with setdefault, not an lru_cache: that stores after its function
+    returns, so two threads that miss one key at once would each keep their own.
     """
 
-    def __missing__(self, parts: tuple[int, ...]) -> Partition:
-        lam = object.__new__(Partition)
-        object.__setattr__(lam, "parts", parts)
-        return self.setdefault(parts, lam)
+    def __init__(self, cls, fields):
+        self.cls, self.fields = cls, fields
+
+    def __missing__(self, key):
+        obj = object.__new__(self.cls)
+        for name, value in zip(self.cls.__slots__, self.fields(key)):
+            object.__setattr__(obj, name, value)
+        return self.setdefault(key, obj)
 
 
-_PARTITIONS = _PartitionTable()
+_PARTITIONS = _InternTable(Partition, lambda parts: (parts,))
 # The one Partition of parts that are already canonical, such as a kernel's output.
 _partition = _PARTITIONS.__getitem__
 
@@ -134,13 +137,7 @@ class GrassContext:
             raise QGrassError(f"context requires integer k and n, got k={k!r}, n={n!r}")
         if not 1 <= k < n:
             raise QGrassError(f"context requires 1 <= k < n, got k={k}, n={n}")
-        ctx = _CONTEXTS.get((k, n))
-        if ctx is None:
-            ctx = object.__new__(cls)
-            for name, value in (("k", k), ("n", n), ("cols", n - k)):
-                object.__setattr__(ctx, name, value)
-            ctx = _CONTEXTS.setdefault((k, n), ctx)
-        return ctx
+        return _CONTEXTS[k, n]
 
     __setattr__ = __delattr__ = _immutable
 
@@ -163,7 +160,7 @@ class GrassContext:
             raise DoesNotFitBox(f"{lam!r} does not fit the {self.k} x {self.cols} box")
 
 
-_CONTEXTS: dict[tuple[int, int], GrassContext] = {}
+_CONTEXTS = _InternTable(GrassContext, lambda kn: (*kn, kn[1] - kn[0]))
 
 
 @dataclass(frozen=True)
@@ -430,17 +427,37 @@ def masked_step(states: dict, i: int, columns: Iterable[int], need: int, entry, 
     return nxt
 
 
+def masked_walk(keys: Iterable[Sequence[int]], start, row, add) -> Iterator[tuple]:
+    """Yield (key, det) for each key in order, det the len(key) x len(key) determinant.
+
+    Its row i is row(key, i): masked_step's columns, need and entry.  det is
+    the full-mask state from start, or None if every term is zero.  row(key, i)
+    may read only key[:i] and what every key of the walk shares, so one stack
+    of Laplace states serves the walk: each key re-expands only the rows after
+    the prefix it shares with the key before it.
+    """
+    path = [{0: start}]  # path[r]: the Laplace states after rows 1..r of the current key
+    prev = ()
+    for key in keys:
+        r = 0
+        while r < min(len(prev), len(key)) and prev[r] == key[r]:
+            r += 1
+        del path[r + 1:]
+        for i in range(r + 1, len(key) + 1):
+            columns, need, entry = row(key, i)
+            path.append(masked_step(path[-1], i, columns, need, entry, add))
+        yield key, path[-1].get((1 << len(key)) - 1)
+        prev = key
+
+
 def masked_det(m: int, start, entry, add, first: Sequence[int]):
     """The m x m determinant, sum over w of sgn(w) * a[1, w(1)] * ... * a[m, w(m)].
 
-    A fold of masked_step over the rows, so permutations that share a
-    column set share their prefix.  entry(value, i, j, sign) extends a
-    partial product by the entry at (i, j), 1-based, times sign, or returns
-    None for a zero term; add sums two of them.  The entries of row i left
-    of column first[i - 1] are zero and are never asked for.  So no row
-    below i can take a column left of all their firsts, and a column set of
-    rows 1..i that leaves one free is dropped.  Returns None if every term
-    is zero.
+    masked_walk over one key, entry and add as for masked_step, or None if
+    every term is zero.  The entries of row i left of column first[i - 1]
+    are zero and are never asked for.  So no row below i can take a column
+    left of all their firsts, and a column set of rows 1..i that leaves one
+    free is dropped.
     """
     # needed[i]: the columns that rows 1..i must have used between them.
     needed = [0] * (m + 1)
@@ -448,8 +465,8 @@ def masked_det(m: int, start, entry, add, first: Sequence[int]):
     for i in range(m, 0, -1):
         needed[i] = (1 << (low - 1)) - 1
         low = max(1, min(low, first[i - 1]))
-    states = {0: start}
-    for i in range(1, m + 1):
-        columns = range(max(1, first[i - 1]), m + 1)
-        states = masked_step(states, i, columns, needed[i], entry, add)
-    return states.get((1 << m) - 1)
+
+    def row(key, i):
+        return range(max(1, key[i - 1]), m + 1), needed[i], entry
+
+    return next(masked_walk([first[:m]], start, row, add))[1]

@@ -26,7 +26,7 @@ from .partitions import (
     _partitions_into,
     format_terms,
     graded_key,
-    masked_step,
+    masked_walk,
 )
 from .tableaux import grow_chains, loop_ids
 
@@ -282,36 +282,26 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     None if it is zero; its count at the state of lam[d] is the
     coefficient, for every lam and every d <= dmax at once.
 
-    The Laplace states after rows 1..r depend on nu_1..nu_r only, and the nu
-    come in lexicographic order, so each prefix is expanded once for all its
-    extensions.  Row r with nu_r = v takes column j from r - v (a strip of
-    at least 0 cells) to cols + r - v (at most n-k cells), and no further
-    than nvars or r plus the cells left, as nu has at most that many rows.
-    Later rows have parts at most v, so they start at column r + 1 - v or
-    right of it: row r leaves no column left of that free.
+    The nu come in lexicographic order, so masked_walk expands each prefix
+    once for all its extensions.  Row r with nu_r = v takes column j from
+    r - v (a strip of at least 0 cells) to cols + r - v (at most n-k cells),
+    and no further than nvars or r plus the cells left, as nu has at most
+    that many rows.  Later rows have parts at most v, so they start at
+    column r + 1 - v or right of it: row r leaves no column left of that free.
     """
     loops = loop_ids(k, cols)
-    # path[r]: the Laplace states after rows 1..r of the current nu.
-    path = [{0: {loops.state(mu, 0): 1}}]
-    prev: tuple[int, ...] = ()
-    for nu in _partitions_into(size, nvars, cols):
-        r = 0
-        while r < len(prev) and prev[r] == nu[r]:
-            r += 1
-        del path[r + 1:]
-        left = size - sum(nu[:r])
-        for i in range(r + 1, len(nu) + 1):
-            v = nu[i - 1]
-            left -= v
 
-            def entry(chains, i, j, sign):
-                return grow_chains(chains, v - i + j, dmax, loops, sign) or None
+    def row(nu, i):
+        v = nu[i - 1]
 
-            columns = range(max(1, i - v), min(nvars, i + left, cols + i - v) + 1)
-            need = (1 << max(0, i - v)) - 1
-            path.append(masked_step(path[-1], i, columns, need, entry, _merge_counts))
-        yield nu, path[-1].get((1 << len(nu)) - 1)
-        prev = nu
+        def entry(chains, i, j, sign):
+            return grow_chains(chains, v - i + j, dmax, loops, sign) or None
+
+        columns = range(max(1, i - v), min(nvars, i + size - sum(nu[:i]), cols + i - v) + 1)
+        return columns, (1 << max(0, i - v)) - 1, entry
+
+    start = {loops.state(mu, 0): 1}
+    return masked_walk(_partitions_into(size, nvars, cols), start, row, _merge_counts)
 
 
 @lru_cache(maxsize=None)

@@ -214,6 +214,16 @@ def test_gw_no_feasible_degree(capsys):
     assert code == 0 and json.loads(out)["values"] == []
 
 
+def test_gw_refuses_a_negative_degree(capsys):
+    argv = ("gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1", "--nu", "0")
+    for backend in ("bcf", "all"):
+        code, out, err = run(capsys, *argv, "--d", "-1", "--backend", backend)
+        assert code == 1 and out == ""
+        assert "gw requires --d >= 0" in err and "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--d", "0")
+    assert code == 0 and out.strip() == "d=0: value=1"
+
+
 def test_gw_requires_nu(capsys):
     code, out, err = run(capsys, "gw", "--k", "2", "--n", "4", "--lambda", "1", "--mu", "1")
     assert code == 1 and out == ""

@@ -3,7 +3,7 @@ import pickle
 import random
 import sys
 import threading
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,12 +32,14 @@ from qgrass import (
     schubert_class,
     to_word01,
 )
+from qgrass import partitions
 from qgrass.partitions import (
     EMPTY_PARTITION,
     basis_table,
     box_partitions_by_size,
     format_terms,
     masked_det,
+    masked_walk,
 )
 
 CTX = GrassContext(4, 10)
@@ -271,6 +273,57 @@ def test_masked_det_matches_leibniz():
 
         got = masked_det(len(a), one, entry, _mat_add, first)
         assert (zero if got is None else got) == _leibniz(a), (a, first)
+
+
+def test_masked_walk_shares_prefixes(monkeypatch):
+    # Keys are partitions in lexicographic order, larger parts first, so (2, 1) follows
+    # (2, 1, 1), its extension.  Entry (i, j) of a key's matrix has the Jacobi-Trudi zero
+    # pattern, zero for j < i - key_i, and is otherwise drawn once per (key[:i], j): the
+    # row function reads no more of the key than key[:i].
+    steps = []
+    real_step = partitions.masked_step
+
+    def counting_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(partitions, "masked_step", counting_step)
+    top, longest = 3, 4
+    keys = sorted(
+        (t for m in range(longest + 1) for t in combinations_with_replacement(range(top, 0, -1), m)),
+        reverse=True,
+    )
+    assert keys.index((2, 1)) == keys.index((2, 1, 1)) + 1
+    prefixes = {key[:r] for key in keys for r in range(1, len(key) + 1)}
+    zero, one = ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    for seed in range(5):
+        rng = random.Random(seed)
+        cells = {}
+
+        def cell(prefix, j):
+            if (prefix, j) not in cells:
+                e = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+                cells[prefix, j] = zero if rng.random() < 0.2 else e
+            return zero if j < len(prefix) - prefix[-1] else cells[prefix, j]
+
+        def row(key, i):
+            def entry(value, i, j, sign):
+                e = _mat_mul(cell(key[:i], j), ((sign, 0), (0, sign)))
+                return None if e == zero else _mat_mul(value, e)
+
+            # Later rows have parts at most key_i, so rows 1..i take every column up to i - key_i.
+            first = i - key[i - 1]
+            return range(max(1, first), longest + 1), (1 << max(0, first)) - 1, entry
+
+        del steps[:]
+        seen = []
+        for key, got in masked_walk(keys, one, row, _mat_add):
+            seen.append(key)
+            m = len(key)
+            a = [[cell(key[:i], j) for j in range(1, m + 1)] for i in range(1, m + 1)]
+            assert (zero if got is None else got) == _leibniz(a), (seed, key)
+        assert seen == keys
+        assert len(steps) == len(prefixes), seed
 
 
 def test_enumerations_share_the_interned_partitions():

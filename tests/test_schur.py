@@ -24,7 +24,7 @@ from qgrass import (
     quantum_kostka,
     toric_schur_expand,
 )
-from qgrass import schur
+from qgrass import partitions, schur
 from qgrass.schur import (
     _lr_count,
     _mult_basis,
@@ -271,13 +271,13 @@ def test_toric_tables_share_one_walk_per_mu_and_size(monkeypatch):
     # prefix of the nu it visits.
     calls = _counting_grow_chains(monkeypatch)
     steps = []
-    real_step = schur.masked_step
+    real_step = partitions.masked_step
 
     def counting_step(*args):
         steps.append(1)
         return real_step(*args)
 
-    monkeypatch.setattr(schur, "masked_step", counting_step)
+    monkeypatch.setattr(partitions, "masked_step", counting_step)
     ctx = GrassContext(3, 6)
     basis = enumerate_pkn(ctx)
     spans = set()
