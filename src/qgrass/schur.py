@@ -2,8 +2,9 @@
 
 Two independent code paths compute the same structure constants:
 
-* ``lr_coefficient`` enumerates lattice-word skew tableaux one coefficient
-  at a time; it is the auditable reference rule.
+* ``lr_coefficient`` reads one cached free-content enumeration of lattice-word
+  skew tableaux per shape, paying for all of it on a cold call; it is the
+  auditable reference rule.
 * products expand a whole row of coefficients at once by growing the larger
   factor through horizontal strips of the smaller one, with the ballot
   condition enforced between consecutive strips.
@@ -79,23 +80,27 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     Counts fillings of the skew diagram nu/lam with content mu that weakly
     increase along rows, strictly increase down columns, and whose reverse
     reading word is a ballot sequence.  Returns 0 whenever sizes or
-    containment rule the coefficient out.
+    containment rule the coefficient out.  A cold call enumerates nu/lam
+    for every content at once, several times the cost of content mu alone.
     """
     return _lr_count(lam.parts, mu.parts, nu.parts)
 
 
-@lru_cache(maxsize=None)
 def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
     if sum(nu) != sum(lam) + sum(mu):
         return 0
+    return _lr_by_content(lam, nu).get(mu, 0)
+
+
+@lru_cache(maxsize=None)
+def _lr_by_content(lam: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{mu: number of lattice-word fillings of nu/lam with content mu}; {} unless lam <= nu.
+
+    The ballot rule lets a value exceed the largest one placed so far by at most one.
+    """
     rows = len(nu)
-    if len(lam) > rows or any(
-        (lam[i] if i < len(lam) else 0) > nu[i] for i in range(rows)
-    ):
-        return 0
-    if not mu:
-        return 1
-    values = len(mu)
+    if len(lam) > rows or any(part > nu[i] for i, part in enumerate(lam)):
+        return {}
     # Reverse reading order: top to bottom, right to left within a row.
     cells = []
     for r in range(rows):
@@ -103,36 +108,27 @@ def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) ->
         for c in range(nu[r] - 1, lo - 1, -1):
             cells.append((r, c))
     entry: dict[tuple[int, int], int] = {}
-    counts = [0] * (values + 1)
-    total = 0
+    counts = [0] * (len(cells) + 2)
+    out: dict[tuple[int, ...], int] = {}
 
-    def fill(pos: int) -> None:
-        nonlocal total
+    def fill(pos: int, top: int) -> None:
         if pos == len(cells):
-            total += 1
+            mu = tuple(counts[1 : top + 1])
+            out[mu] = out.get(mu, 0) + 1
             return
         r, c = cells[pos]
-        lo = 1
-        above = entry.get((r - 1, c))
-        if above is not None:
-            lo = above + 1
-        hi = values
-        right = entry.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
+        hi = min(top + 1, entry.get((r, c + 1), top + 1))
+        for v in range(entry.get((r - 1, c), 0) + 1, hi + 1):
             if v > 1 and counts[v - 1] <= counts[v]:
                 continue
             entry[(r, c)] = v
             counts[v] += 1
-            fill(pos + 1)
+            fill(pos + 1, max(top, v))
             counts[v] -= 1
         entry.pop((r, c), None)
 
-    fill(0)
-    return total
+    fill(0, 0)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -252,15 +248,12 @@ def schur_product(
 
 def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     """Schur expansion of the skew polynomial for lam/mu in nvars variables."""
+    if nvars < 0:
+        raise VarMismatch(f"nvars must be >= 0, got {nvars}")
     if not lam.contains(mu):
         raise NotContained(f"{mu!r} is not contained in {lam!r}")
-    total = lam.size - mu.size
-    terms: dict[Partition, int] = {}
-    for parts in _partitions_into(total, nvars, lam.part(1)):
-        c = _lr_count(mu.parts, parts, lam.parts)
-        if c:
-            terms[_partition(parts)] = c
-    return SchurExpansion(nvars, terms)
+    row = _lr_by_content(mu.parts, lam.parts)
+    return SchurExpansion(nvars, {_partition(nu): c for nu, c in row.items() if len(nu) <= nvars})
 
 
 def _merge_counts(acc: dict, more: dict) -> dict:

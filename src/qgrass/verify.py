@@ -24,7 +24,7 @@ from .partitions import (
     enumerate_pkn,
 )
 from .quantum import _basis_qprod, giambelli_class, schubert_class
-from .schur import _lr_count, _toric_rows as _walk_rows
+from .schur import _lr_by_content, _toric_rows as _walk_rows
 from .symmetry import dmin_dmax
 
 # Bounds the basis size N.
@@ -170,7 +170,7 @@ def check_classical(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
         for j in range(i, dim):
             row = rows[ids[i * dim + j]]
             if negative[ids[i * dim + j]] or any(
-                row[l] != _lr_count(parts[i], parts[j], parts[l])
+                row[l] != _lr_by_content(parts[i], parts[l]).get(parts[j], 0)
                 for l in by_size.get(size[i] + size[j], ())
             ):
                 return (parts[i], parts[j])

@@ -342,7 +342,9 @@ def test_a_second_verify_run_misses_no_memo():
     assert {name: after[name].misses - before[name].misses for name in memos} == dict.fromkeys(
         memos, 0
     )
-    for name in ("qgrass.quantum._qprod_raw", "qgrass.schur._lr_count", "qgrass.schur._toric_rows"):
+    for name in (
+        "qgrass.quantum._qprod_raw", "qgrass.schur._lr_by_content", "qgrass.schur._toric_rows"
+    ):
         assert after[name].hits > before[name].hits, name
 
 

@@ -1,10 +1,10 @@
 import random
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from conftest import poly_multiply, poly_to_schur, schur_monomials
+from conftest import planar_kostka, poly_multiply, poly_to_schur, schur_monomials
 from qgrass import (
     EMPTY,
     GrassContext,
@@ -26,6 +26,7 @@ from qgrass import (
 )
 from qgrass import partitions, schur
 from qgrass.schur import (
+    _lr_by_content,
     _lr_count,
     _mult_basis,
     _mult_basis_canonical,
@@ -121,6 +122,35 @@ def test_skew_expand():
         exp = skew_expand(big, mu, 3)
         for nu, coeff in exp.terms.items():
             assert coeff == lr_coefficient(mu, nu, big)
+
+
+def test_skew_expand_refuses_negative_nvars():
+    with pytest.raises(VarMismatch, match=r"^nvars must be >= 0, got -1$"):
+        skew_expand(Partition((2, 1)), Partition((1,)), -1)
+
+
+def test_lr_rows_match_skew_schur_monomial_oracle():
+    # Each row is the Schur expansion of the skew Schur polynomial of nu/lam,
+    # built here from its monomials by direct SSYT enumeration.  A content has
+    # at most len(nu) <= k rows, so k variables see every term.
+    for k, n in ((2, 5), (3, 6)):
+        ctx = GrassContext(k, n)
+        basis = enumerate_pkn(ctx)
+        for nu in basis:
+            for lam in basis:
+                if not nu.contains(lam):
+                    continue
+                size = nu.size - lam.size
+                poly = {}
+                for beta in product(range(size + 1), repeat=k):
+                    if sum(beta) == size:
+                        c = planar_kostka(nu, lam, beta)
+                        if c:
+                            poly[beta] = c
+                want = {mu.parts: c for mu, c in poly_to_schur(poly, k).items()}
+                assert _lr_by_content(lam.parts, nu.parts) == want, (lam, nu)
+    assert _lr_by_content((2, 1), (2, 1)) == {(): 1}
+    assert _lr_by_content((2,), (1, 1)) == {}
 
 
 def test_skew_complement_transport():
