@@ -248,11 +248,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument(
-        "--scope",
-        choices=("relations", "symmetries", "backends", "intervals", "classical", "all"),
-        default="all",
-    )
+    sub.add_argument("--scope", choices=verify.SCOPES, default="all")
     sub.set_defaults(func=_cmd_verify)
     return parser
 

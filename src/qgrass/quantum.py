@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .cylindric import CylindricLoop
 from .errors import ContextMismatch, IndexOutOfRange, QGrassError, TooManyRows
 from .partitions import (
     EMPTY_PARTITION,
@@ -27,7 +26,7 @@ from .partitions import (
     masked_det,
 )
 from .schur import _mult_basis_canonical, _toric_rows
-from .tableaux import strip_successors
+from .tableaux import _strip_successors_raw
 
 TermKey = tuple[Partition, int]
 
@@ -247,7 +246,11 @@ def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
 
 
 def quantum_pieri(kind: str, r: int, mu: Partition, ctx: GrassContext) -> QuantumClass:
-    """Product of sigma_mu with a generator: e_r adds vertical strips, h_r horizontal."""
+    """Product of sigma_mu with a generator: e_r adds vertical strips, h_r horizontal.
+
+    Each loop one strip of size r above the loop mu[0] is the term q^d sigma_nu,
+    coefficient 1: the strip enumerator gives its base nu and offset d.
+    """
     if kind == "e":
         if not 1 <= r <= ctx.k:
             raise IndexOutOfRange(f"e index {r} outside 1..{ctx.k}")
@@ -259,32 +262,24 @@ def quantum_pieri(kind: str, r: int, mu: Partition, ctx: GrassContext) -> Quantu
     else:
         raise QGrassError(f"kind must be 'e' or 'h', got {kind!r}")
     ctx.require_fits(mu)
-    terms: dict[TermKey, int] = {}
-    for loop in strip_successors(CylindricLoop(mu, 0, ctx), r, direction):
-        terms[(loop.base, loop.offset)] = 1
-    return QuantumClass(ctx, terms)
-
-
-def _class_times_h(f: QuantumClass, c: int, ctx: GrassContext) -> QuantumClass:
-    if c == 0:
-        return f
-    if c < 0 or c > ctx.cols:
-        return QuantumClass(ctx)
-    acc: dict[TermKey, int] = {}
-    for (lam, d), a in f.terms.items():
-        for (mu, dd), b in quantum_pieri("h", c, lam, ctx).terms.items():
-            key = (mu, d + dd)
-            acc[key] = acc.get(key, 0) + a * b
-    return QuantumClass(ctx, acc, f.localized)
+    raw = _strip_successors_raw(mu.parts, ctx.k, ctx.cols, r, direction)
+    return QuantumClass._from_kernel(ctx, {(_partition(nu), d): 1 for nu, d in raw}, False)
 
 
 def giambelli_class(lam: Partition, ctx: GrassContext) -> QuantumClass:
-    """Evaluate det(h_{lam_i + j - i}) in the ring; the result is sigma_lam."""
+    """Evaluate det(h_{lam_i + j - i}) with quantum_product; the result is sigma_lam.
+
+    h_c is 1 for c = 0, sigma_(c) for 0 < c <= n-k and 0 above; the entries
+    left of c = 0 are zero and never asked for.
+    """
     ctx.require_fits(lam)
 
     def entry(cls: QuantumClass, i: int, j: int, sign: int) -> QuantumClass | None:
-        term = _class_times_h(cls, lam.part(i) + j - i, ctx)
-        return None if term.is_zero() else term.scaled(sign)
+        c = lam.part(i) + j - i
+        if c > ctx.cols:
+            return None
+        term = cls if c == 0 else quantum_product(cls, schubert_class(_partition((c,)), ctx))
+        return term.scaled(sign) if term.terms else None
 
     first = [i - lam.part(i) for i in range(1, ctx.k + 1)]
     det = masked_det(ctx.k, unit_class(ctx), entry, operator.add, first)
@@ -308,6 +303,8 @@ def gw_invariant(
     Backends: "bcf" (ring product and rim-hook reduction), "toric" (signed
     Kostka sums), "niltl" (operator determinant).
     """
+    if backend not in BACKENDS:
+        raise QGrassError(f"unknown backend {backend!r}")
     k, cols = ctx.k, ctx.n - ctx.k
     for p in (mu, nu, lam):
         parts = p.parts
@@ -320,11 +317,9 @@ def gw_invariant(
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam.parts, d), 0)
     if backend == "toric":
         return _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {}).get(nu.parts, 0)
-    if backend == "niltl":
-        from .niltl import schubert_op
+    from .niltl import schubert_op
 
-        op, index = schubert_op(nu, ctx), basis_table(ctx).index
-        if op.degree + mu.size - lam.size != d * ctx.n:
-            return 0
-        return op.rows[index[lam.parts]].get(index[mu.parts], 0)
-    raise QGrassError(f"unknown backend {backend!r}")
+    op, index = schubert_op(nu, ctx), basis_table(ctx).index
+    if op.degree + mu.size - lam.size != d * ctx.n:
+        return 0
+    return op.rows[index[lam.parts]].get(index[mu.parts], 0)

@@ -17,10 +17,9 @@ from .errors import QGrassError
 from .partitions import GrassContext, Partition, _partition
 
 
-@lru_cache(maxsize=None)
 def _strip_successors_raw(
     base: tuple[int, ...], k: int, cols: int, size: int, direction: str
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+) -> list[tuple[tuple[int, ...], int]]:
     """(parts, offset increase) of every loop one strip of the given size above base.
 
     The new loop's row values u_1..u_k are listed over the old values
@@ -54,7 +53,7 @@ def _strip_successors_raw(
             dinc = 0
         # Weakly decreasing, so the nonzero parts are a prefix.
         found.append((tuple(v for v in u if v), dinc))
-    return tuple(found)
+    return found
 
 
 def strip_successors(
@@ -117,10 +116,7 @@ class LoopIds:
         return self.parts[state & _ID_MASK], state >> _ID_BITS
 
     def fill(self, loop: int, size: int) -> tuple[int, ...]:
-        # The raw enumerator is called bare: this row is the only copy kept.
-        raw = _strip_successors_raw.__wrapped__(
-            self.parts[loop], self.k, self.cols, size, "horizontal"
-        )
+        raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal")
         row = self.successors[size][loop] = tuple(self.state(p, dinc) for p, dinc in raw)
         return row
 
@@ -172,11 +168,11 @@ def quantum_kostka(
     """
     ctx.require_fits(lam)
     ctx.require_fits(mu)
+    if d < 0:
+        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
     beta = tuple(beta)
     if any(b < 0 or b > ctx.cols for b in beta):
         return 0
-    if d < 0:
-        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
     if sum(beta) != lam.size + d * ctx.n - mu.size:
         return 0
     loops = loop_ids(ctx.k, ctx.cols)

@@ -319,6 +319,10 @@ SUITES = {
 }
 
 
+# The scopes of run, in the order the CLI lists them; "all" runs every suite.
+SCOPES = ("relations", "symmetries", "backends", "intervals", "classical", "all")
+
+
 def count_classes(ctx: GrassContext, cap: int) -> int:
     """N = C(n, k) if it is at most cap, else cap + 1; no larger number is formed."""
     # C(n, i + 1) = C(n, i) * (n - i) / (i + 1) increases while i < min(k, n - k).
@@ -333,9 +337,12 @@ def count_classes(ctx: GrassContext, cap: int) -> int:
 def run(ctx: GrassContext, scope: str) -> list[dict]:
     """The report of one scope: {check, status}, plus the counterexample of a failure.
 
-    Every scope but the relation suite builds the product table once, and its checks read it.
-    Raises QGrassError, naming the bound, when the work would exceed it.
+    Every scope but the relation suite builds the product table once, and its checks read it,
+    giambelli through quantum_product.  Raises QGrassError for a scope outside SCOPES and,
+    naming the bound, when the work would exceed it.
     """
+    if scope not in SCOPES:
+        raise QGrassError(f"unknown scope {scope!r}")
     dim, n = count_classes(ctx, MAX_CLASSES), ctx.n
     if dim > MAX_CLASSES:
         raise QGrassError(f"basis has C({n}, {ctx.k}) elements, above the cap {MAX_CLASSES}")

@@ -2,7 +2,9 @@ import json
 import sys
 import time
 
-from qgrass import FormMismatch, quantum, symmetry, verify
+import pytest
+
+from qgrass import FormMismatch, QGrassError, quantum, symmetry, verify
 from qgrass.cli import main
 from qgrass.niltl import NilTLOperator
 from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
@@ -305,6 +307,7 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
             ("strange_duality_transport", [[1], [1]]),
             ("strange_duality_multiplicative", [[1], [1]]),
             ("classical_limit", [[1], [1]]),
+            ("giambelli", [[1, 1]]),
         )
     ]
     monkeypatch.undo()
@@ -324,6 +327,12 @@ def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
         builds.clear()
         code, _, _ = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", scope)
         assert code == 0 and len(builds) == count, scope
+    # an unknown scope is refused before the bounds (Gr(5,11) is above the sweep bound)
+    builds.clear()
+    for ctx in (GrassContext(2, 4), GrassContext(5, 11)):
+        with pytest.raises(QGrassError, match="unknown scope 'bogus'"):
+            verify.run(ctx, "bogus")
+    assert builds == []
 
 
 def test_a_second_verify_run_misses_no_memo():

@@ -178,8 +178,10 @@ def test_gw_invariant_basics():
     assert gw_invariant(Partition((2, 1)), Partition((2, 1)), Partition((1, 1)), 1, C24) == 1
     # degree mismatch forces zero
     assert gw_invariant(Partition((2, 1)), Partition((2, 1)), Partition((1, 1)), 0, C24) == 0
-    with pytest.raises(QGrassError):
-        gw_invariant(empty, empty, empty, 0, C24, backend="bogus")
+    # an unknown backend is refused whether or not the degree condition holds
+    for lam, d in ((empty, 0), (Partition((1,)), 0), (empty, -1)):
+        with pytest.raises(QGrassError, match="unknown backend 'bogus'"):
+            gw_invariant(empty, empty, lam, d, C24, backend="bogus")
 
 
 def feasible_tuples(ctx):

@@ -86,8 +86,10 @@ def test_quantum_kostka_zero_rules():
     assert quantum_kostka(lam, 0, mu, (1,), C24) == 0  # wrong total
     with pytest.raises(DoesNotFitBox):
         quantum_kostka(Partition((5,)), 0, mu, (1,), C24)
-    with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
-        quantum_kostka(lam, -1, mu, (1,), C24)
+    # a negative offset is refused before the weight is read, even one too wide for the box
+    for shape in ((lam, -1, mu, (1,)), (Partition((1,)), -1, Partition(), (3,))):
+        with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
+            quantum_kostka(*shape, C24)
 
 
 def test_quantum_kostka_classical_reduction():
