@@ -17,56 +17,27 @@ from .schur import toric_schur_expand
 from .symmetry import dmin_dmax, q_power_set
 from .tableaux import quantum_kostka
 
-# Bounds toric-schur's work: the coefficient of s_nu runs over up to 2^len(nu) column sets.
 MAX_NVARS = 16
+# Bounds toric-schur's walk whatever mu is: nus * r * loops * strips, with nus the nu of |shape|
+# cells in an nvars x (n-k) box and r = min(nvars, |shape|) the rows of each nu's determinant.
+# A chain holds one of loops = min(C(n, k) * (1 + |shape| // n), C(|shape| + k, k)) loops
+# (C(n, k) per offset, or one per growth of the k rows), and a loop takes at most
+# strips = C(c + k - 1, k - 1) strips of c = min(n-k, |shape|) cells.  Near the bound a cold
+# walk takes at most 1.3 s on a 2-core machine, with mu empty, a staircase or a rectangle.
+MAX_TORIC_WORK = 2**22
 # Bounds the word actions of gw --backend niltl|all: (h words built) * N, each word acting on
 # every class.  Near the bound a cold call takes 0.02-1.1 s (5th to 95th percentile) on a
 # 2-core machine, at most 1.8 s: the query also builds the rest of its (nu_1, nu_2) walk.
 MAX_NILTL_WORK = 2**20
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _emit(args, payload, text) -> None:
+    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _context(args) -> GrassContext:
-    return GrassContext(args.k, args.n)
-
-
-def _add_common(sub, *, nvars=False, d=False, beta=False, backend=False):
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    if backend:
-        sub.add_argument("--nu", type=parse_partition, required=True)
-    if d:
-        sub.add_argument("--d", type=int, default=None)
-    if nvars:
-        sub.add_argument("--nvars", type=int, required=True)
-    if beta:
-        sub.add_argument("--beta", type=str, required=True,
-                         help="weight composition, comma separated")
-    if backend:
-        sub.add_argument("--backend", choices=BACKENDS + ("all",), default="bcf")
-
-
-def _cmd_qprod(args) -> int:
-    ctx = _context(args)
-    result = quantum_product(
-        schubert_class(args.lam, ctx), schubert_class(args.mu, ctx)
-    )
-    if args.format == "json":
-        _emit_json(result.to_json_dict())
-    else:
-        print(result)
+def _cmd_qprod(args, ctx) -> int:
+    result = quantum_product(schubert_class(args.lam, ctx), schubert_class(args.mu, ctx))
+    _emit(args, result.to_json_dict(), result)
     return 0
 
 
@@ -88,8 +59,24 @@ def _niltl_words(ctx: GrassContext, nu: Partition, cap: int) -> int:
     return words
 
 
-def _cmd_gw(args) -> int:
-    ctx = _context(args)
+def _count_nu(total: int, parts: int, top: int, cap: int) -> int:
+    """Partitions of total into at most parts parts, each at most top, or more than cap.
+
+    Each first part taken leaves a total that the remaining parts can hold, so every branch
+    counts at least one partition, and the count stops once it passes cap.
+    """
+    if total == 0:
+        return 1
+    count = 0
+    if total <= parts * top:
+        for first in range(min(total, top), (total - 1) // parts, -1):
+            count += _count_nu(total - first, parts - 1, first, cap - count)
+            if count > cap:
+                break
+    return count
+
+
+def _cmd_gw(args, ctx) -> int:
     mu, nu, lam = args.mu, args.nu, args.lam
     if args.d is not None:
         if args.d < 0:
@@ -104,7 +91,7 @@ def _cmd_gw(args) -> int:
     if args.backend in ("niltl", "all") and built:
         # Every word acts on all N classes, and N >= n bounds how far the words are counted.
         words = _niltl_words(ctx, nu, MAX_NILTL_WORK // ctx.n)
-        if words * verify.count_classes(ctx, MAX_NILTL_WORK) > MAX_NILTL_WORK:
+        if words * verify.binomial(ctx.n, ctx.k, MAX_NILTL_WORK) > MAX_NILTL_WORK:
             raise QGrassError(
                 f"niltl backend: the h words of sigma_{nu.parts} on C({ctx.n}, {ctx.k}) classes"
                 f" are above the bound 2^20 = {MAX_NILTL_WORK}"
@@ -116,42 +103,53 @@ def _cmd_gw(args) -> int:
             rows.append({"d": d, **values})
         else:
             rows.append({"d": d, "value": gw_invariant(mu, nu, lam, d, ctx, args.backend)})
-    if args.format == "json":
-        _emit_json({
-            "k": ctx.k, "n": ctx.n,
-            "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
-            "values": rows,
-        })
-    elif not rows:
-        print(
-            f"no feasible degree: |mu| + |nu| - |lambda| = {mu.size + nu.size - lam.size}"
-            f" is not a nonnegative multiple of n = {ctx.n}"
-        )
-    else:
-        for row in rows:
-            detail = " ".join(f"{key}={row[key]}" for key in row if key != "d")
-            print(f"d={row['d']}: {detail}")
+    payload = {
+        "k": ctx.k, "n": ctx.n,
+        "lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
+        "values": rows,
+    }
+    text = "\n".join(
+        f"d={row['d']}: " + " ".join(f"{key}={row[key]}" for key in row if key != "d")
+        for row in rows
+    ) or (
+        f"no feasible degree: |mu| + |nu| - |lambda| = {mu.size + nu.size - lam.size}"
+        f" is not a nonnegative multiple of n = {ctx.n}"
+    )
+    _emit(args, payload, text)
     return 0
 
 
-def _cmd_toric_schur(args) -> int:
-    ctx = _context(args)
+def _cmd_toric_schur(args, ctx) -> int:
     if args.d is None or args.d < 0:
         raise QGrassError("toric-schur requires --d >= 0")
     if not 0 <= args.nvars <= MAX_NVARS:
         raise QGrassError(
             f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}"
         )
+    for p in (args.lam, args.mu):
+        ctx.require_fits(p)
+    size = args.lam.size + args.d * ctx.n - args.mu.size
+    rows = min(args.nvars, size)
+    if rows > 0:
+        cap = MAX_TORIC_WORK // rows
+        loops = min(
+            verify.binomial(ctx.n, ctx.k, cap) * (1 + size // ctx.n),
+            verify.binomial(size + ctx.k, ctx.k, cap),
+        )
+        strip = min(ctx.cols, size)
+        strips = verify.binomial(strip + ctx.k - 1, ctx.k - 1, cap // loops)
+        nus = _count_nu(size, args.nvars, ctx.cols, cap // loops // strips)
+        if rows * loops * strips * nus > MAX_TORIC_WORK:
+            raise QGrassError(
+                f"toric-schur: the walk over the nu of {size} cells in at most {args.nvars} rows,"
+                f" with chains in Gr({ctx.k}, {ctx.n}), is above the bound 2^22 = {MAX_TORIC_WORK}"
+            )
     expansion = toric_schur_expand(args.lam, args.d, args.mu, ctx, args.nvars)
-    if args.format == "json":
-        _emit_json(expansion.to_json_dict())
-    else:
-        print(expansion)
+    _emit(args, expansion.to_json_dict(), expansion)
     return 0
 
 
-def _cmd_kostka(args) -> int:
-    ctx = _context(args)
+def _cmd_kostka(args, ctx) -> int:
     if args.d is None or args.d < 0:
         raise QGrassError("kostka requires --d >= 0")
     try:
@@ -159,15 +157,11 @@ def _cmd_kostka(args) -> int:
     except ValueError as exc:
         raise QGrassError(f"cannot parse weight {args.beta!r}") from exc
     value = quantum_kostka(args.lam, args.d, args.mu, beta, ctx)
-    if args.format == "json":
-        _emit_json({"value": value})
-    else:
-        print(value)
+    _emit(args, {"value": value}, value)
     return 0
 
 
-def _cmd_qpowers(args) -> int:
-    ctx = _context(args)
+def _cmd_qpowers(args, ctx) -> int:
     interval = dmin_dmax(args.lam, args.mu, ctx)
     powers = q_power_set(args.lam, args.mu, ctx)
     if powers != set(interval.members()):
@@ -177,90 +171,79 @@ def _cmd_qpowers(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.format == "json":
-        _emit_json(interval.to_json_dict())
-    else:
-        print(f"[{', '.join(str(d) for d in interval.members())}]")
+    _emit(args, interval.to_json_dict(), f"[{', '.join(str(d) for d in interval.members())}]")
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    ctx = _context(args)
+def _cmd_reduce(args, ctx) -> int:
     red = rimhook_reduce(args.lam, ctx)
-    if args.format == "json":
-        _emit_json({
-            "vanished": red.vanished,
-            "core": None if red.vanished else list(red.core.parts),
-            "d": red.d,
-            "sign": red.sign,
-        })
-    else:
-        print(format_terms([] if red.vanished else [(red.sign, red.d, red.core.parts)]))
+    payload = {
+        "vanished": red.vanished,
+        "core": None if red.vanished else list(red.core.parts),
+        "d": red.d,
+        "sign": red.sign,
+    }
+    _emit(args, payload, format_terms([] if red.vanished else [(red.sign, red.d, red.core.parts)]))
     return 0
 
 
-def _cmd_verify(args) -> int:
-    report = verify.run(_context(args), args.scope)
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        for entry in report:
-            print(f"{'PASS' if entry['status'] == 'pass' else 'FAIL'} {entry['check']}")
-            if "counterexample" in entry:
-                print(f"  counterexample: {entry['counterexample']}")
+def _cmd_verify(args, ctx) -> int:
+    report = verify.run(ctx, args.scope)
+    lines = []
+    for entry in report:
+        lines.append(f"{'PASS' if entry['status'] == 'pass' else 'FAIL'} {entry['check']}")
+        if "counterexample" in entry:
+            lines.append(f"  counterexample: {entry['counterexample']}")
+    _emit(args, report, "\n".join(lines))
     return 2 if any(entry["status"] != "pass" for entry in report) else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qgrass", description=__doc__)
+# The argparse settings of every option, and each command's handler, help and options after
+# --k --n --format, in usage order.
+OPTIONS = {
+    "--k": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--lambda": dict(dest="lam", type=parse_partition, required=True),
+    "--mu": dict(type=parse_partition, required=True),
+    "--nu": dict(type=parse_partition, required=True),
+    "--d": dict(type=int),
+    "--nvars": dict(type=int, required=True),
+    "--beta": dict(required=True, help="weight composition, comma separated"),
+    "--backend": dict(choices=BACKENDS + ("all",), default="bcf"),
+    "--scope": dict(choices=verify.SCOPES, default="all"),
+}
+COMMANDS = {
+    "qprod": (_cmd_qprod, "quantum product of two basis classes", "--lambda --mu"),
+    "gw": (_cmd_gw, "structure constant of a triple", "--lambda --nu --d --backend --mu"),
+    "toric-schur": (
+        _cmd_toric_schur, "Schur expansion of a cylindric shape", "--lambda --d --nvars --mu"
+    ),
+    "kostka": (_cmd_kostka, "cylindric tableau count for a weight", "--lambda --d --beta --mu"),
+    "qpowers": (_cmd_qpowers, "q-power interval of a product", "--lambda --mu"),
+    "reduce": (_cmd_reduce, "rim-hook reduction of one shape", "--lambda"),
+    "verify": (_cmd_verify, "run identity suites exhaustively", "--scope"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="qgrass", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("qprod", help="quantum product of two basis classes")
-    _add_common(sub)
-    sub.add_argument("--mu", type=parse_partition, required=True)
-    sub.set_defaults(func=_cmd_qprod)
-
-    sub = subs.add_parser("gw", help="structure constant of a triple")
-    _add_common(sub, d=True, backend=True)
-    sub.add_argument("--mu", type=parse_partition, required=True)
-    sub.set_defaults(func=_cmd_gw)
-
-    sub = subs.add_parser("toric-schur", help="Schur expansion of a cylindric shape")
-    _add_common(sub, d=True, nvars=True)
-    sub.add_argument("--mu", type=parse_partition, required=True)
-    sub.set_defaults(func=_cmd_toric_schur)
-
-    sub = subs.add_parser("kostka", help="cylindric tableau count for a weight")
-    _add_common(sub, d=True, beta=True)
-    sub.add_argument("--mu", type=parse_partition, required=True)
-    sub.set_defaults(func=_cmd_kostka)
-
-    sub = subs.add_parser("qpowers", help="q-power interval of a product")
-    _add_common(sub)
-    sub.add_argument("--mu", type=parse_partition, required=True)
-    sub.set_defaults(func=_cmd_qpowers)
-
-    sub = subs.add_parser("reduce", help="rim-hook reduction of one shape")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_reduce)
-
-    sub = subs.add_parser("verify", help="run identity suites exhaustively")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--scope", choices=verify.SCOPES, default="all")
-    sub.set_defaults(func=_cmd_verify)
+    for command, (func, text, names) in COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for name in ("--k", "--n", "--format", *names.split()):
+            sub.add_argument(name, **OPTIONS[name])
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return args.func(args, GrassContext(args.k, args.n))
     except QGrassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

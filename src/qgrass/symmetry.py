@@ -20,7 +20,6 @@ from .partitions import (
     _partition,
     _phi_table,
     _word_bits,
-    basis_table,
     complement,
     cyclic_shift,
     diag,
@@ -202,13 +201,10 @@ def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext)
     complemented classes must equal the coefficient of
     q^(diag_0(nu) - d) sigma_(nu shifted by k) in the original product.
     """
-    table = basis_table(ctx)
-    back = -ctx.k % ctx.n
     moved = {}
     for (p, e), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
-        nu = table.shift[table.index[p]][back]
-        d0 = diag(_partition(table.parts[nu]), ctx, 0)
-        moved[(table.parts[table.complement[nu]], d0 - e)] = c
+        nu = cyclic_shift(_partition(p), ctx, -ctx.k)
+        moved[(complement(nu, ctx).parts, diag(nu, ctx, 0) - e)] = c
     return moved == _basis_qprod(
         ctx, complement(lam, ctx).parts, complement(mu, ctx).parts
     )

@@ -323,12 +323,12 @@ SUITES = {
 SCOPES = ("relations", "symmetries", "backends", "intervals", "classical", "all")
 
 
-def count_classes(ctx: GrassContext, cap: int) -> int:
-    """N = C(n, k) if it is at most cap, else cap + 1; no larger number is formed."""
-    # C(n, i + 1) = C(n, i) * (n - i) / (i + 1) increases while i < min(k, n - k).
+def binomial(a: int, b: int, cap: int) -> int:
+    """C(a, b) if it is at most cap, else cap + 1; no larger number is formed."""
+    # C(a, i + 1) = C(a, i) * (a - i) / (i + 1) increases while i < min(b, a - b).
     count = 1
-    for i in range(min(ctx.k, ctx.n - ctx.k)):
-        count = count * (ctx.n - i) // (i + 1)
+    for i in range(min(b, a - b)):
+        count = count * (a - i) // (i + 1)
         if count > cap:
             return cap + 1
     return count
@@ -343,7 +343,7 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
     """
     if scope not in SCOPES:
         raise QGrassError(f"unknown scope {scope!r}")
-    dim, n = count_classes(ctx, MAX_CLASSES), ctx.n
+    dim, n = binomial(ctx.n, ctx.k, MAX_CLASSES), ctx.n
     if dim > MAX_CLASSES:
         raise QGrassError(f"basis has C({n}, {ctx.k}) elements, above the cap {MAX_CLASSES}")
     relations, sweeps = scope in ("relations", "all"), scope in ("symmetries", "all")

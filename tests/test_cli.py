@@ -1,10 +1,11 @@
 import json
+import re
 import sys
 import time
 
 import pytest
 
-from qgrass import FormMismatch, QGrassError, quantum, symmetry, verify
+from qgrass import FormMismatch, QGrassError, cli, quantum, symmetry, verify
 from qgrass.cli import main
 from qgrass.niltl import NilTLOperator
 from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
@@ -15,6 +16,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_usage_lines_keep_the_option_order(capsys):
+    # argparse lays out help differently across Python versions, so only the option tokens
+    # of each usage line are pinned, in order, with the bracket of each optional one.
+    for command, tokens in (
+        ("qprod", "--k --n [--format --lambda --mu"),
+        ("gw", "--k --n [--format --lambda --nu [--d [--backend --mu"),
+        ("toric-schur", "--k --n [--format --lambda [--d --nvars --mu"),
+        ("kostka", "--k --n [--format --lambda [--d --beta --mu"),
+        ("qpowers", "--k --n [--format --lambda --mu"),
+        ("reduce", "--k --n [--format --lambda"),
+        ("verify", "--k --n [--format [--scope"),
+    ):
+        code, out, _ = run(capsys, command, "--help")
+        usage = out.split("\n\n")[0]
+        assert code == 0 and usage.startswith(f"usage: qgrass {command} ")
+        assert re.findall(r"\[?--[\w-]+", usage) == tokens.split(), command
 
 
 def test_qprod_text(capsys):
@@ -62,6 +81,19 @@ def test_toric_schur_nvars_bounds(capsys):
         assert f"0 <= --nvars <= 16, got {nvars}" in err
     code, out, _ = run(capsys, *argv, "--nvars", "0")
     assert code == 0 and out.strip() == "0"
+
+
+def test_toric_schur_bounds_the_walk(capsys, monkeypatch):
+    # --nvars <= 16 bounds the variables, not the walk: on Gr(20,40) a 20-cell shape took
+    # over 20 s at 16 variables, and at d = 2 the walk would list 15,356,023 nu.
+    calls = []
+    monkeypatch.setattr(cli, "toric_schur_expand", lambda *args: calls.append(args))
+    argv = ("toric-schur", "--k", "20", "--n", "40", "--lambda", "10,10", "--mu", "0")
+    for d in ("0", "2"):
+        code, out, err = run(capsys, *argv, "--nvars", "16", "--d", d)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "above the bound 2^22" in err
+    assert calls == []
 
 
 def test_toric_schur_ten_variables(capsys):

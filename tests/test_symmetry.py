@@ -305,3 +305,17 @@ def test_strange_duality_transport():
         table = product_rows(ctx)
         for sweep in (strange_transport_sweep, strange_multiplicative_sweep):
             assert sweep(ctx, *table) is None
+
+
+def test_strange_duality_oracle_reads_no_basis_table(monkeypatch):
+    # The oracle confirms the transport sweep's witnesses, and the sweep reads the shift,
+    # complement and index tables of basis_table; a wrong entry there must not fool both.
+    def refuse(ctx):
+        raise AssertionError("basis_table in the strange-duality oracle")
+
+    for ctx in (GrassContext(2, 5), GrassContext(3, 6)):
+        basis = enumerate_pkn(ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(symmetry, "basis_table", refuse, raising=False)
+            for lam, mu in product(basis, repeat=2):
+                assert check_strange_duality_pair(lam, mu, ctx), (ctx, lam, mu)
