@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import verify
 from .errors import QGrassError
-from .partitions import GrassContext, Partition, format_terms, parse_partition
+from .partitions import GrassContext, Partition, _partitions_into, format_terms, parse_partition
 from .quantum import BACKENDS, gw_invariant, quantum_product, rimhook_reduce, schubert_class
 from .schur import toric_schur_expand
 from .symmetry import dmin_dmax, q_power_set
@@ -19,7 +20,8 @@ from .tableaux import quantum_kostka
 
 MAX_NVARS = 16
 # Bounds toric-schur's walk whatever mu is: nus * r * loops * strips, with nus the nu of |shape|
-# cells in an nvars x (n-k) box and r = min(nvars, |shape|) the rows of each nu's determinant.
+# cells in an nvars x (n-k) box, read from the walk's own enumerator only as far as the bound
+# leaves, and r = min(nvars, |shape|) the rows of each nu's determinant.
 # A chain holds one of loops = min(C(n, k) * (1 + |shape| // n), C(|shape| + k, k)) loops
 # (C(n, k) per offset, or one per growth of the k rows), and a loop takes at most
 # strips = C(c + k - 1, k - 1) strips of c = min(n-k, |shape|) cells.  Near the bound a cold
@@ -57,23 +59,6 @@ def _niltl_words(ctx: GrassContext, nu: Partition, cap: int) -> int:
         if words > cap:
             return cap + 1
     return words
-
-
-def _count_nu(total: int, parts: int, top: int, cap: int) -> int:
-    """Partitions of total into at most parts parts, each at most top, or more than cap.
-
-    Each first part taken leaves a total that the remaining parts can hold, so every branch
-    counts at least one partition, and the count stops once it passes cap.
-    """
-    if total == 0:
-        return 1
-    count = 0
-    if total <= parts * top:
-        for first in range(min(total, top), (total - 1) // parts, -1):
-            count += _count_nu(total - first, parts - 1, first, cap - count)
-            if count > cap:
-                break
-    return count
 
 
 def _cmd_gw(args, ctx) -> int:
@@ -138,7 +123,8 @@ def _cmd_toric_schur(args, ctx) -> int:
         )
         strip = min(ctx.cols, size)
         strips = verify.binomial(strip + ctx.k - 1, ctx.k - 1, cap // loops)
-        nus = _count_nu(size, args.nvars, ctx.cols, cap // loops // strips)
+        walk = _partitions_into(size, args.nvars, ctx.cols)
+        nus = sum(1 for _ in islice(walk, cap // loops // strips + 1))
         if rows * loops * strips * nus > MAX_TORIC_WORK:
             raise QGrassError(
                 f"toric-schur: the walk over the nu of {size} cells in at most {args.nvars} rows,"

@@ -276,12 +276,13 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
 
 
 def _eh_entry(kind: str, parts: Sequence[int], ctx: GrassContext):
-    """masked_step's entry (i, j): the kind operator of degree parts[i - 1] + j - i, 0 from n on."""
+    """masked_step's entry (i, j): the kind operator of degree parts[i - 1] + j - i, below n.
 
-    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator | None:
+    The h walk has parts at most n-k and columns up to k, the e determinant the reverse.
+    """
+
+    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator:
         c = parts[i - 1] + j - i
-        if c >= ctx.n:
-            return None
         term = op if c == 0 else eh_op(kind, c, ctx) @ op
         return term if sign == 1 else term.scaled(-1)
 
@@ -294,7 +295,7 @@ def _schubert_walk(
 ) -> dict[tuple[int, ...], NilTLOperator]:
     """{parts: the h determinant of nu} for every box nu with nu_1 = top and nu_2 = second.
 
-    The k x k determinant has entry (i, j) = h_c, c = nu_i + j - i, zero from c = n on.
+    The k x k determinant has entry (i, j) = h_c, c = nu_i + j - i below n.
     The nu come in lexicographic order over k-tuples, so masked_walk expands each prefix
     once for all its extensions.  Row i takes column j from i - nu_i (h_0) on.  Later rows
     have parts at most nu_i, so they start at column i + 1 - nu_i or right of it: rows

@@ -40,9 +40,10 @@ class Partition:
     compare by identity, which is equality of parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "size")
 
     parts: tuple[int, ...]
+    size: int  # number of boxes, written |.| in the docstrings below
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(parts)
@@ -69,11 +70,6 @@ class Partition:
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, so they return this object.
         return (Partition, (self.parts,))
-
-    @property
-    def size(self) -> int:
-        """Number of boxes, written |.| in the docstrings below."""
-        return sum(self.parts)
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the last row."""
@@ -110,7 +106,7 @@ class _InternTable(dict):
         return self.setdefault(key, obj)
 
 
-_PARTITIONS = _InternTable(Partition, lambda parts: (parts,))
+_PARTITIONS = _InternTable(Partition, lambda parts: (parts, sum(parts)))
 # The one Partition of parts that are already canonical, such as a kernel's output.
 _partition = _PARTITIONS.__getitem__
 
@@ -326,21 +322,18 @@ def graded_key(parts: tuple[int, ...]) -> tuple:
     return (sum(parts), tuple(-p for p in parts))
 
 
-@lru_cache(maxsize=None)
-def _partitions_into(total: int, max_parts: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of total into at most max_parts parts, each at most max_part.
+def _partitions_into(total: int, max_parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of total into at most max_parts parts, each at most max_part.
 
-    Lexicographic with larger first parts first, as graded_key orders them.
+    Lexicographic with larger first parts first, as graded_key orders them.  Each first
+    part leaves a total the remaining parts can hold, so every branch yields.
     """
     if total == 0:
-        return ((),)
-    if max_parts == 0 or max_part == 0:
-        return ()
-    found = []
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions_into(total - first, max_parts - 1, first):
-            found.append((first,) + rest)
-    return tuple(found)
+        yield ()
+    elif 0 < total <= max_parts * max_part:
+        for first in range(min(total, max_part), (total - 1) // max_parts, -1):
+            for rest in _partitions_into(total - first, max_parts - 1, first):
+                yield (first,) + rest
 
 
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:

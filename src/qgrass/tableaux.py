@@ -28,13 +28,17 @@ def _strip_successors_raw(
     m_i <= u_i <= m_i + 1 with u weakly decreasing.  The loop closes when
     u_1 <= u_k + (n-k).  The offset grows by 1 exactly when u_1 > n-k, and
     the base is then (u_2-1, ..., u_k-1, u_1-1-(n-k)).  Sizes below 0 or
-    above the strip bound give no loop, size 0 gives base itself.
+    above the strip bound give no loop, size 0 gives base itself.  A strip
+    enters at most one row (horizontal) or size rows below base, so only rows
+    1..top are walked: if top < k, u_top and every row below it hold 0.
     """
-    m = base + (0,) * (k - len(base))
+    top = min(k, len(base) + size + 1)
+    m = base + (0,) * (top - len(base))
     if direction == "horizontal":
-        rows = [(m[i], m[i - 1] if i else m[-1] + cols) for i in range(k)]
+        last = base[-1] if len(base) == k else 0
+        rows = [(m[i], m[i - 1] if i else last + cols) for i in range(top)]
     else:
-        rows = [(p, p + 1) for p in m]
+        rows = [(p, p + 1) for p in m[:top]]
     # (u_1..u_i, cells of the strip still to place) for every admissible prefix.
     grown = [((), size)]
     for lo, hi in rows:

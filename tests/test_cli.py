@@ -96,6 +96,33 @@ def test_toric_schur_bounds_the_walk(capsys, monkeypatch):
     assert calls == []
 
 
+def test_toric_schur_price_reads_the_walks_enumerator(capsys, monkeypatch):
+    # The price counts the nu the walk reads, from the walk's own enumerator, and stops once
+    # the bound is passed: at d = 2 on Gr(20,40) there are 15,356,023 nu to list.
+    real, expand, pulled, calls = cli._partitions_into, cli.toric_schur_expand, [], []
+
+    def counting(*args):
+        for nu in real(*args):
+            pulled.append(nu)
+            yield nu
+
+    monkeypatch.setattr(cli, "_partitions_into", counting)
+    monkeypatch.setattr(cli, "toric_schur_expand", lambda *a: calls.append(a) or expand(*a))
+    code, out, err = run(
+        capsys, "toric-schur", "--k", "20", "--n", "40",
+        "--lambda", "10,10", "--d", "2", "--mu", "0", "--nvars", "16",
+    )
+    assert code == 1 and out == "" and "above the bound 2^22" in err
+    assert 0 < len(pulled) <= 4 and calls == []
+    # An admitted request reads every nu of its 11 cells in 10 rows of at most 4 cells.
+    pulled.clear()
+    code, _, _ = run(
+        capsys, "toric-schur", "--k", "4", "--n", "8",
+        "--lambda", "2,2", "--d", "1", "--mu", "1", "--nvars", "10",
+    )
+    assert code == 0 and len(calls) == 1 and pulled == list(real(11, 10, 4))
+
+
 def test_toric_schur_ten_variables(capsys):
     # Past the former bound of 8 that the sum over all nvars! permutations needed.
     code, out, _ = run(

@@ -1,9 +1,10 @@
 import copy
+import inspect
 import pickle
 import random
 import sys
 import threading
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,7 @@ from qgrass.partitions import (
     basis_table,
     box_partitions_by_size,
     format_terms,
+    graded_key,
     masked_det,
     masked_walk,
 )
@@ -324,6 +326,29 @@ def test_masked_walk_shares_prefixes(monkeypatch):
             assert (zero if got is None else got) == _leibniz(a), (seed, key)
         assert seen == keys
         assert len(steps) == len(prefixes), seed
+
+
+def test_box_enumerator_streams_and_keeps_no_memo():
+    assert inspect.isgeneratorfunction(partitions._partitions_into)
+    assert not hasattr(partitions._partitions_into, "cache_info")
+
+
+def test_box_enumerator_matches_a_brute_force_filter():
+    # Every weakly decreasing max_parts-tuple of parts up to max_part, trailing zeros dropped,
+    # in graded_key order.  A negative total yields nothing, max_parts = 0 included.
+    for total in range(-2, 11):
+        for max_parts in range(5):
+            for max_part in range(5):
+                brute = sorted(
+                    (
+                        tuple(p for p in parts if p)
+                        for parts in product(range(max_part, -1, -1), repeat=max_parts)
+                        if sum(parts) == total and list(parts) == sorted(parts, reverse=True)
+                    ),
+                    key=graded_key,
+                )
+                found = list(partitions._partitions_into(total, max_parts, max_part))
+                assert found == brute, (total, max_parts, max_part)
 
 
 def test_enumerations_share_the_interned_partitions():

@@ -1,4 +1,5 @@
-from itertools import permutations, product
+import time
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -17,6 +18,7 @@ from qgrass import (
     quantum_kostka,
     strip_successors,
 )
+from qgrass.tableaux import _strip_successors_raw
 
 C24 = GrassContext(2, 4)
 C616 = GrassContext(6, 16)
@@ -39,6 +41,49 @@ def test_strip_successors_examples():
     # oversized strips cannot exist
     assert strip_successors(any_loop, 3, "horizontal") == []
     assert strip_successors(any_loop, 3, "vertical") == []
+
+
+def _strip_successors_every_row(base, k, cols, size, direction):
+    """The enumerator as it was before it skipped the rows a strip cannot enter."""
+    m = base + (0,) * (k - len(base))
+    if direction == "horizontal":
+        rows = [(m[i], m[i - 1] if i else m[-1] + cols) for i in range(k)]
+    else:
+        rows = [(p, p + 1) for p in m]
+    grown = [((), size)]
+    for lo, hi in rows:
+        grown = [
+            (u + (v,), left - v + lo)
+            for u, left in grown
+            for v in range(lo, min(hi, lo + left, u[-1] if u else hi) + 1)
+        ]
+    found = []
+    for u, left in grown:
+        if left or u[0] > u[-1] + cols:
+            continue
+        if u[0] > cols:
+            u, dinc = tuple(v - 1 for v in u[1:]) + (u[0] - 1 - cols,), 1
+        else:
+            dinc = 0
+        found.append((tuple(v for v in u if v), dinc))
+    return found
+
+
+def test_strip_enumerator_walks_only_the_rows_a_strip_enters():
+    for n in range(2, 10):
+        for k in range(1, n):
+            cols = n - k
+            for word in combinations_with_replacement(range(cols, -1, -1), k):
+                base = tuple(p for p in word if p)
+                for size in range(-1, n + 1):
+                    for direction in ("horizontal", "vertical"):
+                        args = (base, k, cols, size, direction)
+                        assert _strip_successors_raw(*args) == _strip_successors_every_row(*args)
+    # Two cells over (1) in Gr(20000,40000): the rows below the third hold 0 and are skipped.
+    started = time.perf_counter()
+    found = _strip_successors_raw((1,), 20000, 20000, 2, "horizontal")
+    assert found == [((2, 1), 0), ((3,), 0)]
+    assert time.perf_counter() - started < 0.5
 
 
 def test_strip_successors_are_strips_with_small_offset_jump():
