@@ -48,6 +48,11 @@ class QuantumClass:
     ):
         clean: dict[TermKey, int] = {}
         for (lam, d), c in (terms or {}).items():
+            if type(lam) is not Partition or type(d) is not int or type(c) is not int:
+                raise QGrassError(
+                    f"term {(lam, d)!r}: {c!r} needs a Partition, an int degree and an int"
+                    " coefficient"
+                )
             if c == 0:
                 continue
             ctx.require_fits(lam)
@@ -135,7 +140,14 @@ class QuantumClass:
         return f"QuantumClass({self.ctx.k},{self.ctx.n}; {self})"
 
 
+def _require_int_degree(d: int) -> None:
+    # type(), not isinstance(): bool is an int subclass and is refused, as Partition refuses it.
+    if type(d) is not int:
+        raise QGrassError(f"q-degree must be an int, got {d!r}")
+
+
 def schubert_class(lam: Partition, ctx: GrassContext, d: int = 0) -> QuantumClass:
+    _require_int_degree(d)
     ctx.require_fits(lam)
     return QuantumClass._from_kernel(ctx, {(lam, d): 1}, d < 0)
 
@@ -155,9 +167,7 @@ class RimHookReduction:
 
 
 @lru_cache(maxsize=None)
-def _reduce_raw(
-    tau: tuple[int, ...], k: int, n: int
-) -> tuple[tuple[int, ...], int, int] | None:
+def _reduce_raw(tau: tuple[int, ...], k: int, n: int) -> tuple[Partition, int, int] | None:
     """Abacus reduction: beads b_i = tau_i + k - i on n runners.
 
     Removing n-hooks slides each bead up its runner; a runner holding two
@@ -165,6 +175,7 @@ def _reduce_raw(
     the residues b_i mod n are distinct.  Then the core is read off the
     sorted residues, d = sum of floor(b_i / n), and the sign is
     (-1)^(d(k-1) + inv), inv counting the inversions of the residues.
+    The core is returned as its interned Partition.
     """
     beads = [(tau[i] if i < len(tau) else 0) + k - i - 1 for i in range(k)]
     residues = [b % n for b in beads]
@@ -178,7 +189,7 @@ def _reduce_raw(
     while core and core[-1] == 0:
         core.pop()
     sign = -1 if (d * (k - 1) + inv) % 2 else 1
-    return tuple(core), d, sign
+    return _partition(tuple(core)), d, sign
 
 
 def rimhook_reduce(tau: Partition, ctx: GrassContext) -> RimHookReduction:
@@ -188,25 +199,21 @@ def rimhook_reduce(tau: Partition, ctx: GrassContext) -> RimHookReduction:
     raw = _reduce_raw(tau.parts, ctx.k, ctx.n)
     if raw is None:
         return RimHookReduction(None, None, None, True)
-    core, d, sign = raw
-    return RimHookReduction(_partition(core), d, sign, False)
+    return RimHookReduction(*raw, False)
 
 
-def _basis_qprod(
-    ctx: GrassContext, a: tuple[int, ...], b: tuple[int, ...]
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """sigma_a * sigma_b as a map (partition, q-degree) -> coefficient."""
+def _basis_qprod(ctx: GrassContext, a: tuple[int, ...], b: tuple[int, ...]) -> dict[TermKey, int]:
+    """sigma_a * sigma_b as a map (Partition, q-degree) -> coefficient: the memo's own dict."""
     if (len(b), sum(b), b) < (len(a), sum(a), a):
         a, b = b, a
     return _qprod_raw(ctx.k, ctx.n, a, b)
 
 
 @lru_cache(maxsize=None)
-def _qprod_raw(
-    k: int, n: int, a: tuple[int, ...], b: tuple[int, ...]
-) -> dict[tuple[tuple[int, ...], int], int]:
-    # Keyed on (k, n) like the other kernel memos: kernels take ints and tuples, not objects.
-    out: dict[tuple[tuple[int, ...], int], int] = {}
+def _qprod_raw(k: int, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> dict[TermKey, int]:
+    # Keyed on (k, n) like the other kernel memos; its terms hold the interned Partitions
+    # that _reduce_raw returns, the form quantum_product hands out.
+    out: dict[TermKey, int] = {}
     for tau, c in _mult_basis_canonical(a, b, k).items():
         raw = _reduce_raw(tau, k, n)
         if raw is None:
@@ -220,8 +227,8 @@ def _qprod_raw(
 def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
     """Bilinear extension of the basis product; commutative and associative.
 
-    The sum runs on the kernel's (parts, degree) keys; each surviving term is
-    then wrapped once, in the shared Partition of its parts.
+    The memo's terms are already (Partition, degree) keys, so the sum runs on
+    them directly; a product of two basis classes is a copy of its memo entry.
     """
     ctx = f.ctx
     if g.ctx is not ctx:
@@ -232,16 +239,20 @@ def quantum_product(f: QuantumClass, g: QuantumClass) -> QuantumClass:
         [((mu, d2), b)] = g.terms.items()
         ab, shift = a * b, d1 + d2
         raw = _basis_qprod(ctx, lam.parts, mu.parts)
-        terms = {(_partition(nu), shift + dd): ab * c for (nu, dd), c in raw.items()}
+        if ab == 1 and not shift:
+            # A copy, so the caller may change its terms and the memo stays as it is.
+            terms = dict(raw)
+        else:
+            terms = {(nu, shift + dd): ab * c for (nu, dd), c in raw.items()}
         return QuantumClass._from_kernel(ctx, terms, f.localized or g.localized)
-    acc: dict[tuple[tuple[int, ...], int], int] = {}
+    acc: dict[TermKey, int] = {}
     for (lam, d1), a in f.terms.items():
         for (mu, d2), b in g.terms.items():
             ab, shift = a * b, d1 + d2
             for (nu, dd), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
                 key = (nu, shift + dd)
                 acc[key] = acc.get(key, 0) + ab * c
-    terms = {(_partition(nu), d): c for (nu, d), c in acc.items() if c}
+    terms = {key: c for key, c in acc.items() if c}
     return QuantumClass._from_kernel(ctx, terms, f.localized or g.localized)
 
 
@@ -305,6 +316,7 @@ def gw_invariant(
     """
     if backend not in BACKENDS:
         raise QGrassError(f"unknown backend {backend!r}")
+    _require_int_degree(d)
     k, cols = ctx.k, ctx.n - ctx.k
     for p in (mu, nu, lam):
         parts = p.parts
@@ -314,7 +326,7 @@ def gw_invariant(
     if d < 0 or lam.size != mu.size + size - d * ctx.n:
         return 0
     if backend == "bcf":
-        return _basis_qprod(ctx, mu.parts, nu.parts).get((lam.parts, d), 0)
+        return _basis_qprod(ctx, mu.parts, nu.parts).get((lam, d), 0)
     if backend == "toric":
         return _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {}).get(nu.parts, 0)
     from .niltl import schubert_op

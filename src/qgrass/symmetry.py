@@ -17,7 +17,6 @@ from .partitions import (
     Partition,
     _bits_to_parts,
     _diag_table,
-    _partition,
     _phi_table,
     _word_bits,
     complement,
@@ -161,10 +160,7 @@ def gw_triple(
     d, rem = divmod(num, ctx.n)
     if rem != 0 or d < 0:
         return (0, 0)
-    coeff = _basis_qprod(ctx, lam.parts, mu.parts).get(
-        (complement(nu, ctx).parts, d), 0
-    )
-    return (d, coeff)
+    return (d, _basis_qprod(ctx, lam.parts, mu.parts).get((complement(nu, ctx), d), 0))
 
 
 def hidden_symmetry_check(
@@ -203,8 +199,8 @@ def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext)
     """
     moved = {}
     for (p, e), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
-        nu = cyclic_shift(_partition(p), ctx, -ctx.k)
-        moved[(complement(nu, ctx).parts, diag(nu, ctx, 0) - e)] = c
+        nu = cyclic_shift(p, ctx, -ctx.k)
+        moved[(complement(nu, ctx), diag(nu, ctx, 0) - e)] = c
     return moved == _basis_qprod(
         ctx, complement(lam, ctx).parts, complement(mu, ctx).parts
     )

@@ -49,7 +49,8 @@ def product_rows(ctx: GrassContext) -> tuple[Ids, Pool]:
     ids, pool = [], {}
     for i, j in product(range(len(parts)), repeat=2):
         row = [0] * len(parts)
-        for (nu, d), c in _basis_qprod(ctx, parts[i], parts[j]).items():
+        for (lam, d), c in _basis_qprod(ctx, parts[i], parts[j]).items():
+            nu = lam.parts
             l = index[nu]
             if d * n != size[i] + size[j] - size[l]:
                 raise FormMismatch(f"q^{d} sigma_{nu} in {parts[i]} * {parts[j]}: wrong degree")

@@ -335,7 +335,7 @@ def test_verify_fails_on_a_corrupted_coefficient(capsys, monkeypatch):
     def corrupted(ctx, a, b):
         prod = real(ctx, a, b)
         if (a, b) == ((1,), (1,)):
-            prod = {**prod, ((1, 1), 0): prod[((1, 1), 0)] + 1}
+            prod = {**prod, (Partition((1, 1)), 0): prod[(Partition((1, 1)), 0)] + 1}
         return prod
 
     argv = ("verify", "--k", "2", "--n", "4", "--scope", "symmetries")
@@ -422,7 +422,7 @@ def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):
 
     def corrupted(ctx, a, b):
         prod = real(ctx, a, b)
-        return {**prod, ((2,), 1): 1} if (a, b) == ((1,), (1,)) else prod
+        return {**prod, (Partition((2,)), 1): 1} if (a, b) == ((1,), (1,)) else prod
 
     monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     code, out, err = run(capsys, "verify", "--k", "2", "--n", "4", "--scope", "symmetries")
@@ -563,7 +563,7 @@ def test_verify_fails_on_a_negative_coefficient(capsys, monkeypatch):
 
     def qprod(ctx, a, b):
         prod = real_qprod(ctx, a, b)
-        return {**prod, ((), 1): -1} if (a, b) == ((1,), (2, 1)) else prod
+        return {**prod, (Partition(()), 1): -1} if (a, b) == ((1,), (2, 1)) else prod
 
     def toric(k, n, mu, size, nvars):
         rows = real_toric(k, n, mu, size, nvars)
@@ -651,7 +651,7 @@ def test_verify_fails_when_an_interval_form_raises(capsys, monkeypatch):
 
     def corrupted(ctx, a, b):
         prod = real_qprod(ctx, a, b)
-        return {**prod, ((), 1): 1} if (a, b) == ((2,), (2,)) else prod
+        return {**prod, (Partition(()), 1): 1} if (a, b) == ((2,), (2,)) else prod
 
     monkeypatch.setattr(verify, "_basis_qprod", corrupted)
     code, out, _ = run(capsys, *argv)

@@ -178,6 +178,11 @@ def test_gw_invariant_basics():
     assert gw_invariant(Partition((2, 1)), Partition((2, 1)), Partition((1, 1)), 1, C24) == 1
     # degree mismatch forces zero
     assert gw_invariant(Partition((2, 1)), Partition((2, 1)), Partition((1, 1)), 0, C24) == 0
+    # the degree is an exact int on every backend
+    for backend in ("bcf", "toric", "niltl"):
+        for d in (0.0, True, "x"):
+            with pytest.raises(QGrassError, match="q-degree must be an int"):
+                gw_invariant(empty, empty, empty, d, C24, backend)
     # an unknown backend is refused whether or not the degree condition holds
     for lam, d in ((empty, 0), (Partition((1,)), 0), (empty, -1)):
         with pytest.raises(QGrassError, match="unknown backend 'bogus'"):
@@ -270,6 +275,19 @@ def test_boundary_validation():
         QuantumClass(C24, {(Partition((1,)), -1): 1})
     with pytest.raises(QGrassError):
         cls((1,)).q_shift(-1)
+    # terms are exact: a Partition, an int degree and an int coefficient; bool is refused
+    one = Partition((1,))
+    for bad in (
+        {(one, 0.5): 1}, {(one, True): 1}, {(one, 0): 0.5}, {(one, 0): True}, {((1,), 0): 1},
+    ):
+        with pytest.raises(QGrassError):
+            QuantumClass(C24, bad)
+    for make in (lambda: cls((1,)).scaled(0.5), lambda: cls((1,)).q_shift(0.5)):
+        with pytest.raises(QGrassError):
+            make()
+    for d in (0.5, True, "x"):
+        with pytest.raises(QGrassError, match="q-degree must be an int"):
+            schubert_class(one, C24, d)
     assert schubert_class(Partition((1,)), C24, -1).localized
 
 
@@ -284,12 +302,12 @@ def test_gw_invariant_refuses_a_partition_outside_the_box():
 
 
 def reference_product(f, g):
-    """The bilinear sum over _basis_qprod, each term in a new Partition."""
+    """The bilinear sum over the (Partition, degree) terms of _basis_qprod, in a new dict."""
     acc = {}
     for (lam, d1), a in f.terms.items():
         for (mu, d2), b in g.terms.items():
             for (nu, dd), c in _basis_qprod(f.ctx, lam.parts, mu.parts).items():
-                key = (Partition(nu), d1 + d2 + dd)
+                key = (nu, d1 + d2 + dd)
                 acc[key] = acc.get(key, 0) + a * b * c
     return QuantumClass(f.ctx, acc, f.localized or g.localized)
 
@@ -337,6 +355,33 @@ def test_product_terms_are_shared_and_independent():
     assert again == want
     assert [lam for lam, _ in again.terms] == shared
     assert all(Partition(lam.parts) is lam for lam in shared)
+
+
+def test_basis_products_copy_the_memo_entry():
+    ctx = GrassContext(2, 5)
+    f, g = cls((2, 1), ctx), cls((2,), ctx)
+    want = reference_product(f, g)
+    memo = _basis_qprod(ctx, (2,), (2, 1))
+    first, second = quantum_product(f, g), quantum_product(f, g)
+    assert len(first.terms) > 1 and first.terms is not second.terms
+    assert first.terms is not memo and second.terms is not memo
+    # the same key tuples as the memo's, each holding the interned Partition
+    assert all(a is b is c for a, b, c in zip(first.terms, second.terms, memo, strict=True))
+    assert all(Partition(lam.parts) is lam for lam, _ in first.terms)
+    first.terms.clear()
+    assert quantum_product(f, g) == want
+    second.terms[next(iter(second.terms))] = 7
+    second.terms[(Partition((3, 3)), 0)] = 1
+    assert quantum_product(f, g) == want and second != want
+    # a coefficient, a q-shift or a localized factor takes the summing path
+    local = schubert_class(Partition((2,)), ctx, -1)
+    for a, b in ((f.scaled(-2), g), (f, g.q_shift(1)), (f, local), (local, f)):
+        got = quantum_product(a, b)
+        assert got == reference_product(a, b) and got.localized == (b is local or a is local)
+    assert quantum_product(f, g) == want
+    # the reduction hands out the interned core
+    for tau, k, n, core in (((7, 5, 2), 3, 6, (1, 1)), ((4,), 2, 4, ()), ((2, 1), 2, 4, (2, 1))):
+        assert rimhook_reduce(Partition(tau), GrassContext(k, n)).core is Partition(core)
 
 
 def test_product_does_not_enumerate_the_basis():

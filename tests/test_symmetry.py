@@ -242,7 +242,7 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
     def corrupted(c, a, b):
         prod = real(c, a, b)
         if {a, b} == {(1,), (2,)}:
-            prod = {**prod, ((2, 1), 0): prod[((2, 1), 0)] + 1}
+            prod = {**prod, (Partition((2, 1)), 0): prod[(Partition((2, 1)), 0)] + 1}
         return prod
 
     monkeypatch.setattr(verify, "_basis_qprod", corrupted)
