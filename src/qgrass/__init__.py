@@ -11,14 +11,16 @@ from .cylindric import (
     CylindricLoop,
     CylindricShape,
     EmptyShape,
+    TableauChain,
     complement_shape,
     down_transform,
+    enumerate_tableaux,
     is_strip,
     is_toric,
     loop_leq,
-    loop_value,
     make_shape,
     render_ascii,
+    strip_successors,
     torus_cells,
     torus_equivalent,
     up_transform,
@@ -59,7 +61,6 @@ from .partitions import (
     enumerate_pkn,
     format_partition,
     from_word01,
-    make_partition,
     parse_partition,
     phi,
     to_word01,
@@ -94,6 +95,6 @@ from .symmetry import (
     q_power_set,
     strange_duality,
 )
-from .tableaux import TableauChain, enumerate_tableaux, quantum_kostka, strip_successors
+from .tableaux import quantum_kostka
 
 __version__ = "0.1.0"

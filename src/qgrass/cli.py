@@ -70,8 +70,7 @@ def _cmd_gw(args, ctx) -> int:
     else:
         q, r = divmod(mu.size + nu.size - lam.size, ctx.n)
         degrees = [q] if (r == 0 and q >= 0) else []
-    for p in (mu, nu, lam):
-        ctx.require_fits(p)
+    ctx.require_fits(mu, nu, lam)
     built = any(lam.size == mu.size + nu.size - d * ctx.n for d in degrees)
     if args.backend in ("niltl", "all") and built:
         # Every word acts on all N classes, and N >= n bounds how far the words are counted.
@@ -111,8 +110,7 @@ def _cmd_toric_schur(args, ctx) -> int:
         raise QGrassError(
             f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}"
         )
-    for p in (args.lam, args.mu):
-        ctx.require_fits(p)
+    ctx.require_fits(args.lam, args.mu)
     size = args.lam.size + args.d * ctx.n - args.mu.size
     rows = min(args.nvars, size)
     if rows > 0:

@@ -1,9 +1,12 @@
-"""Cylindric loops and shapes on the k x (n-k) cylinder and torus.
+"""Cylindric loops, shapes and tableaux on the k x (n-k) cylinder and torus.
 
 A loop is a box partition plus an integer offset r, standing for the
 (k, n)-periodic sequence whose value at index i+r is part_i + r for
 i = 1..k and which drops by n-k every k indices.  A shape lam/d/mu is
-the region between the loops lam[d] (above) and mu[0] (below).
+the region between the loops lam[d] (above) and mu[0] (below), and a
+tableau a chain of loops, each one horizontal strip above the one before.
+This object model is outside every route: the toric route counts the same
+chains on ints, in tableaux, and only the package imports this module.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import ContextMismatch, NotToric, QGrassError
-from .partitions import GrassContext, Partition, cyclic_shift, diag
+from .partitions import GrassContext, Partition, _partition, cyclic_shift, diag, require_int
+from .tableaux import _strip_successors_raw
 
 Direction = Literal["horizontal", "vertical"]
 
@@ -44,10 +48,6 @@ class CylindricLoop:
             if best is None or i > best:
                 best = i
         return best
-
-
-def loop_value(loop: CylindricLoop, i: int) -> int:
-    return loop.value(i)
 
 
 def loop_leq(lower: CylindricLoop, upper: CylindricLoop) -> bool:
@@ -134,8 +134,9 @@ class CylindricShape:
     ctx: GrassContext
     shift: int = 0
 
-    def __bool__(self) -> bool:
-        return True
+    def __post_init__(self):
+        self.ctx.require_fits(self.lam, self.mu)
+        require_int(self.d, "offset difference d", nonnegative=True)
 
     @property
     def upper(self) -> CylindricLoop:
@@ -167,14 +168,8 @@ def make_shape(
     lam: Partition, d: int, mu: Partition, ctx: GrassContext
 ) -> CylindricShape | EmptyShape:
     """Build lam/d/mu, or the empty marker when the loops are not nested."""
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
-    if d < 0:
-        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
     shape = CylindricShape(lam, d, mu, ctx)
-    if not loop_leq(shape.lower, shape.upper):
-        return EMPTY
-    return shape
+    return shape if loop_leq(shape.lower, shape.upper) else EMPTY
 
 
 def is_toric(shape: CylindricShape) -> bool:
@@ -221,7 +216,7 @@ def complement_shape(shape: CylindricShape) -> CylindricShape:
     new_lam = cyclic_shift(shape.mu, ctx, ctx.k)
     new_d = diag(shape.mu, ctx, 0) - shape.d
     result = CylindricShape(new_lam, new_d, shape.lam, ctx, shape.d + shape.shift)
-    assert new_d >= 0 and loop_leq(result.lower, result.upper)
+    assert loop_leq(result.lower, result.upper)
     return result
 
 
@@ -234,3 +229,50 @@ def render_ascii(shape: CylindricShape) -> str:
     def mark(c):
         return "." if c == 0 else "#" if c == 1 else str(c % 10)
     return "\n".join("".join(mark(c) for c in row) for row in grid)
+
+
+def strip_successors(
+    loop: CylindricLoop, size: int, direction: Direction
+) -> list[CylindricLoop]:
+    """All loops above the given one whose quotient is a strip of the given size.
+
+    The offset increase is 0 or 1: a strip meets each diagonal at most once.
+    """
+    if direction not in ("horizontal", "vertical"):
+        raise QGrassError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+    ctx = loop.ctx
+    raw = _strip_successors_raw(loop.base.parts, ctx.k, ctx.cols, size, direction)
+    return [CylindricLoop(_partition(parts), loop.offset + dinc, ctx) for parts, dinc in raw]
+
+
+@dataclass(frozen=True)
+class TableauChain:
+    """A semi-standard cylindric tableau, as its chain of horizontal strips."""
+
+    loops: tuple[CylindricLoop, ...]
+    weights: tuple[int, ...]
+
+
+def enumerate_tableaux(shape: CylindricShape, max_entry: int) -> Iterator[TableauChain]:
+    """Stream every tableau chain of the given shape with entries 1..max_entry."""
+    ctx = shape.ctx
+    target = CylindricLoop(shape.lam, shape.d, ctx)
+    start = CylindricLoop(shape.mu, 0, ctx)
+
+    def walk(chain: list[CylindricLoop], weights: list[int]) -> Iterator[TableauChain]:
+        if len(weights) == max_entry:
+            if chain[-1] == target:
+                yield TableauChain(tuple(chain), tuple(weights))
+            return
+        placed = sum(weights)
+        for step in range(shape.size - placed + 1):
+            for succ in strip_successors(chain[-1], step, "horizontal"):
+                if succ.offset > shape.d:
+                    continue
+                chain.append(succ)
+                weights.append(step)
+                yield from walk(chain, weights)
+                chain.pop()
+                weights.pop()
+
+    yield from walk([start], [])

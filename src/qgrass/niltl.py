@@ -34,6 +34,7 @@ from .partitions import (
     format_terms,
     masked_det,
     masked_walk,
+    require_partitions,
 )
 
 
@@ -134,6 +135,7 @@ class NilTLOperator:
         return self._entry(basis_table(self.ctx), i, j)
 
     def column(self, mu: Partition) -> dict[Partition, LaurentPoly]:
+        self.ctx.require_fits(mu)
         table = basis_table(self.ctx)
         j = table.index[mu.parts]
         return {
@@ -317,7 +319,6 @@ def _schubert_walk(
     }
 
 
-@lru_cache(maxsize=None)
 def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOperator:
     """Operator of quantum multiplication by sigma_lam, as a determinant.
 
@@ -325,7 +326,14 @@ def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOper
     walk of (lam_1, lam_2); kind "e" expands the (n-k) x (n-k) determinant in the e
     operators over the conjugate shape with masked_det.  Both give the same matrix.
     """
-    ctx.require_fits(lam)
+    if type(lam) is not Partition:  # a list must not reach the memo's hash
+        require_partitions(lam)
+    return _schubert_op(lam, ctx, kind)
+
+
+@lru_cache(maxsize=None)
+def _schubert_op(lam: Partition, ctx: GrassContext, kind: str) -> NilTLOperator:
+    ctx.require_fits(lam)  # on a miss only: a warm read, as verify's tables make, checks no box
     if kind == "h":
         return _schubert_walk(ctx, lam.part(1), lam.part(2))[lam.parts]
     if kind != "e":

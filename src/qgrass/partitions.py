@@ -151,9 +151,13 @@ class GrassContext:
         parts = lam.parts
         return len(parts) <= self.k and (not parts or parts[0] <= self.cols)
 
-    def require_fits(self, lam: Partition) -> None:
-        if not self.fits(lam):
-            raise DoesNotFitBox(f"{lam!r} does not fit the {self.k} x {self.cols} box")
+    def require_fits(self, *lams: Partition) -> None:
+        """Refuse anything but a Partition, and a Partition that does not fit the box."""
+        for lam in lams:
+            if type(lam) is not Partition:
+                require_partitions(lam)
+            if not self.fits(lam):
+                raise DoesNotFitBox(f"{lam!r} does not fit the {self.k} x {self.cols} box")
 
 
 _CONTEXTS = _InternTable(GrassContext, lambda kn: (*kn, kn[1] - kn[0]))
@@ -175,9 +179,19 @@ class Word01:
         return self.bits[i]
 
 
-def make_partition(parts: Sequence[int]) -> Partition:
-    """Validating constructor; canonicalizes trailing zeros."""
-    return Partition(parts)
+def require_partitions(*lams: Partition) -> None:
+    """Refuse anything but a Partition, a parts tuple or list too: Partition(parts) converts."""
+    for lam in lams:
+        if type(lam) is not Partition:
+            raise QGrassError(f"{lam!r} is not a Partition; Partition(parts) converts parts")
+
+
+def require_int(value: int, what: str, nonnegative: bool = False, error=QGrassError) -> None:
+    """Refuse a non-int, a bool too as Partition refuses it, and, if nonnegative, one below 0."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {value!r}")
+    if nonnegative and value < 0:
+        raise error(f"{what} must be >= 0, got {value}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -194,6 +208,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Inverse of parse_partition."""
+    require_partitions(lam)
     return ",".join(str(p) for p in lam.parts) if lam.parts else "0"
 
 
@@ -257,6 +272,7 @@ def from_word01(word: Word01, ctx: GrassContext) -> Partition:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
+    require_partitions(lam)
     parts = lam.parts
     if not parts:
         return EMPTY_PARTITION

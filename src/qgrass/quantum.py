@@ -24,6 +24,8 @@ from .partitions import (
     format_terms,
     graded_key,
     masked_det,
+    require_int,
+    require_partitions,
 )
 from .schur import _mult_basis_canonical, _toric_rows
 from .tableaux import _strip_successors_raw
@@ -48,14 +50,11 @@ class QuantumClass:
     ):
         clean: dict[TermKey, int] = {}
         for (lam, d), c in (terms or {}).items():
-            if type(lam) is not Partition or type(d) is not int or type(c) is not int:
-                raise QGrassError(
-                    f"term {(lam, d)!r}: {c!r} needs a Partition, an int degree and an int"
-                    " coefficient"
-                )
+            ctx.require_fits(lam)
+            require_int(d, "q-degree")
+            require_int(c, "coefficient")
             if c == 0:
                 continue
-            ctx.require_fits(lam)
             if d < 0 and not localized:
                 raise QGrassError(f"negative q-degree {d} outside the localization")
             clean[(lam, d)] = c
@@ -75,6 +74,7 @@ class QuantumClass:
         return self
 
     def coefficient(self, lam: Partition, d: int) -> int:
+        require_partitions(lam)
         return self.terms.get((lam, d), 0)
 
     def is_zero(self) -> bool:
@@ -140,14 +140,8 @@ class QuantumClass:
         return f"QuantumClass({self.ctx.k},{self.ctx.n}; {self})"
 
 
-def _require_int_degree(d: int) -> None:
-    # type(), not isinstance(): bool is an int subclass and is refused, as Partition refuses it.
-    if type(d) is not int:
-        raise QGrassError(f"q-degree must be an int, got {d!r}")
-
-
 def schubert_class(lam: Partition, ctx: GrassContext, d: int = 0) -> QuantumClass:
-    _require_int_degree(d)
+    require_int(d, "q-degree")
     ctx.require_fits(lam)
     return QuantumClass._from_kernel(ctx, {(lam, d): 1}, d < 0)
 
@@ -194,6 +188,7 @@ def _reduce_raw(tau: tuple[int, ...], k: int, n: int) -> tuple[Partition, int, i
 
 def rimhook_reduce(tau: Partition, ctx: GrassContext) -> RimHookReduction:
     """Reduce s_tau modulo the quantum ideal of Gr(k, n)."""
+    require_partitions(tau)
     if len(tau) > ctx.k:
         raise TooManyRows(f"{tau!r} has more than {ctx.k} rows")
     raw = _reduce_raw(tau.parts, ctx.k, ctx.n)
@@ -316,11 +311,10 @@ def gw_invariant(
     """
     if backend not in BACKENDS:
         raise QGrassError(f"unknown backend {backend!r}")
-    _require_int_degree(d)
+    require_int(d, "q-degree")
     k, cols = ctx.k, ctx.n - ctx.k
     for p in (mu, nu, lam):
-        parts = p.parts
-        if len(parts) > k or (parts and parts[0] > cols):
+        if type(p) is not Partition or len(p.parts) > k or (p.parts and p.parts[0] > cols):
             ctx.require_fits(p)
     size = nu.size
     if d < 0 or lam.size != mu.size + size - d * ctx.n:

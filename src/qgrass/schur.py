@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import NotContained, QGrassError, VarMismatch
+from .errors import NotContained, VarMismatch
 from .partitions import (
     GrassContext,
     Partition,
@@ -28,6 +28,8 @@ from .partitions import (
     format_terms,
     graded_key,
     masked_walk,
+    require_int,
+    require_partitions,
 )
 from .tableaux import grow_chains, loop_ids
 
@@ -40,6 +42,7 @@ class SchurExpansion:
     terms: Mapping[Partition, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        require_partitions(*self.terms)
         clean = {nu: c for nu, c in self.terms.items() if c != 0}
         for nu in clean:
             if len(nu) > self.nvars:
@@ -47,6 +50,7 @@ class SchurExpansion:
         object.__setattr__(self, "terms", clean)
 
     def coefficient(self, nu: Partition) -> int:
+        require_partitions(nu)
         return self.terms.get(nu, 0)
 
     def sorted_terms(self) -> list[tuple[Partition, int]]:
@@ -83,6 +87,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     containment rule the coefficient out.  A cold call enumerates nu/lam
     for every content at once, several times the cost of content mu alone.
     """
+    require_partitions(lam, mu, nu)
     return _lr_count(lam.parts, mu.parts, nu.parts)
 
 
@@ -248,8 +253,8 @@ def schur_product(
 
 def skew_expand(lam: Partition, mu: Partition, nvars: int) -> SchurExpansion:
     """Schur expansion of the skew polynomial for lam/mu in nvars variables."""
-    if nvars < 0:
-        raise VarMismatch(f"nvars must be >= 0, got {nvars}")
+    require_int(nvars, "nvars", nonnegative=True, error=VarMismatch)
+    require_partitions(lam, mu)
     if not lam.contains(mu):
         raise NotContained(f"{mu!r} is not contained in {lam!r}")
     row = _lr_by_content(mu.parts, lam.parts)
@@ -333,12 +338,9 @@ def toric_schur_expand(
     constants of the quantum product; for a valid non-toric shape with
     nvars = k the expansion is identically zero.
     """
-    if nvars < 0:
-        raise VarMismatch(f"nvars must be >= 0, got {nvars}")
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
-    if d < 0:
-        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
+    require_int(nvars, "nvars", nonnegative=True, error=VarMismatch)
+    ctx.require_fits(lam, mu)
+    require_int(d, "offset difference d", nonnegative=True)
     size = lam.size + d * ctx.n - mu.size
     if size < 0:
         return SchurExpansion(nvars)

@@ -86,8 +86,7 @@ def dmin_dmax(lam: Partition, mu: Partition, ctx: GrassContext) -> PowerInterval
     Computed from the prefix-sum form and the overlapping-diagonals form;
     the two must agree.
     """
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
+    ctx.require_fits(lam, mu)
     n, k = ctx.n, ctx.k
     # phi(i + n) = phi(i) + k makes both objective functions n-periodic in i,
     # so scanning one window of n consecutive shifts is exhaustive.  It also gives
@@ -117,8 +116,7 @@ def essential_interval(
     lam: Partition, mu: Partition, nu: Partition, ctx: GrassContext
 ) -> EssentialInterval:
     """Feasible window for the triple, scanning shifts over one period each."""
-    for p in (lam, mu, nu):
-        ctx.require_fits(p)
+    ctx.require_fits(lam, mu, nu)
     n = ctx.n
     # Shifting a (or b) by n adds k to its prefix term and removes k from the
     # term of c = -a-b (or c = k-n-a-b), so both objectives are n-periodic in
@@ -141,8 +139,7 @@ def essential_interval(
 
 def q_power_set(lam: Partition, mu: Partition, ctx: GrassContext) -> set[int]:
     """All q-exponents with nonzero coefficient in sigma_lam * sigma_mu."""
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
+    ctx.require_fits(lam, mu)
     return {d for (_, d) in _basis_qprod(ctx, lam.parts, mu.parts)}
 
 
@@ -154,8 +151,7 @@ def gw_triple(
     The degree is pinned by the sizes; when it is not a nonnegative integer
     the invariant is zero and the returned degree is 0.
     """
-    for p in (lam, mu, nu):
-        ctx.require_fits(p)
+    ctx.require_fits(lam, mu, nu)
     num = lam.size + mu.size + nu.size - ctx.k * ctx.cols
     d, rem = divmod(num, ctx.n)
     if rem != 0 or d < 0:
@@ -197,6 +193,7 @@ def check_strange_duality_pair(lam: Partition, mu: Partition, ctx: GrassContext)
     complemented classes must equal the coefficient of
     q^(diag_0(nu) - d) sigma_(nu shifted by k) in the original product.
     """
+    ctx.require_fits(lam, mu)
     moved = {}
     for (p, e), c in _basis_qprod(ctx, lam.parts, mu.parts).items():
         nu = cyclic_shift(p, ctx, -ctx.k)

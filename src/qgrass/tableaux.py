@@ -1,20 +1,17 @@
-"""Strip growth of cylindric loops, tableau chains, and quantum Kostka numbers.
+"""Strip growth of cylindric loops, the strip-chain DP, and quantum Kostka numbers, on ints.
 
-Semi-standard cylindric tableaux are encoded as chains of loops where each
-consecutive quotient is a horizontal strip; the entry i occupies the i-th
-strip.  Counting tableaux therefore reduces to counting chains.  The chain
-DP keeps each loop as one int: its offset above an id interned per (k, n-k).
+A semi-standard cylindric tableau is a chain of loops, each one horizontal
+strip above the one before, so counting tableaux reduces to counting chains.
+A loop here is its base parts and offset, and the chain DP keeps it as one
+int: its offset above an id interned per (k, n-k).  The objects are in cylindric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .cylindric import CylindricLoop, CylindricShape, Direction
-from .errors import QGrassError
-from .partitions import GrassContext, Partition, _partition
+from .partitions import GrassContext, Partition, require_int
 
 
 def _strip_successors_raw(
@@ -58,32 +55,6 @@ def _strip_successors_raw(
         # Weakly decreasing, so the nonzero parts are a prefix.
         found.append((tuple(v for v in u if v), dinc))
     return found
-
-
-def strip_successors(
-    loop: CylindricLoop, size: int, direction: Direction
-) -> list[CylindricLoop]:
-    """All loops above the given one whose quotient is a strip of the given size.
-
-    The offset increase is 0 or 1: a strip meets each diagonal at most once.
-    """
-    if direction not in ("horizontal", "vertical"):
-        raise QGrassError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
-    ctx = loop.ctx
-    return [
-        CylindricLoop(_partition(parts), loop.offset + dinc, ctx)
-        for parts, dinc in _strip_successors_raw(
-            loop.base.parts, ctx.k, ctx.cols, size, direction
-        )
-    ]
-
-
-@dataclass(frozen=True)
-class TableauChain:
-    """A semi-standard cylindric tableau, as its chain of horizontal strips."""
-
-    loops: tuple[CylindricLoop, ...]
-    weights: tuple[int, ...]
 
 
 # A chain state is one int, offset << _ID_BITS | loop id.
@@ -159,22 +130,18 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) 
 
 
 def quantum_kostka(
-    lam: Partition,
-    d: int,
-    mu: Partition,
-    beta: Sequence[int],
-    ctx: GrassContext,
+    lam: Partition, d: int, mu: Partition, beta: Sequence[int], ctx: GrassContext
 ) -> int:
     """Number of semi-standard cylindric tableaux of shape lam/d/mu and weight beta.
 
     Compositions with negative entries, entries above n-k, or the wrong total
     count zero tableaux; so does an empty shape, which no chain reaches.
     """
-    ctx.require_fits(lam)
-    ctx.require_fits(mu)
-    if d < 0:
-        raise QGrassError(f"offset difference d must be nonnegative, got {d}")
+    ctx.require_fits(lam, mu)
+    require_int(d, "offset difference d", nonnegative=True)
     beta = tuple(beta)
+    for b in beta:
+        require_int(b, "weight entry")
     if any(b < 0 or b > ctx.cols for b in beta):
         return 0
     if sum(beta) != lam.size + d * ctx.n - mu.size:
@@ -184,28 +151,3 @@ def quantum_kostka(
     for size in beta:
         chains = grow_chains(chains, size, d, loops)
     return chains.get(loops.state(lam.parts, d), 0)
-
-
-def enumerate_tableaux(shape: CylindricShape, max_entry: int) -> Iterator[TableauChain]:
-    """Stream every tableau chain of the given shape with entries 1..max_entry."""
-    ctx = shape.ctx
-    target = CylindricLoop(shape.lam, shape.d, ctx)
-    start = CylindricLoop(shape.mu, 0, ctx)
-
-    def walk(chain: list[CylindricLoop], weights: list[int]) -> Iterator[TableauChain]:
-        if len(weights) == max_entry:
-            if chain[-1] == target:
-                yield TableauChain(tuple(chain), tuple(weights))
-            return
-        placed = sum(weights)
-        for step in range(shape.size - placed + 1):
-            for succ in strip_successors(chain[-1], step, "horizontal"):
-                if succ.offset > shape.d:
-                    continue
-                chain.append(succ)
-                weights.append(step)
-                yield from walk(chain, weights)
-                chain.pop()
-                weights.pop()
-
-    yield from walk([start], [])

@@ -494,8 +494,8 @@ def test_backend_tables_validate_no_item(monkeypatch):
     verify.run(ctx, "backends")
     ids, pool = verify.product_rows(ctx)
 
-    def refuse(self, lam):
-        raise AssertionError(f"require_fits({lam!r}) in the backend tables")
+    def refuse(self, *lams):
+        raise AssertionError(f"require_fits{lams!r} in the backend tables")
 
     monkeypatch.setattr(GrassContext, "require_fits", refuse)
     assert verify.check_backends(ctx, ids, pool) is None

@@ -8,13 +8,13 @@ from qgrass import (
     GrassContext,
     NotToric,
     Partition,
+    QGrassError,
     complement_shape,
     down_transform,
     enumerate_pkn,
     is_strip,
     is_toric,
     loop_leq,
-    loop_value,
     make_shape,
     render_ascii,
     torus_cells,
@@ -34,7 +34,7 @@ def fig3_shape():
 def test_loop_value():
     ctx = GrassContext(5, 13)
     loop = CylindricLoop(Partition((5, 3, 3, 3, 1)), 2, ctx)
-    assert loop_value(loop, 3) == 7
+    assert loop.value(3) == 7
     mu = CylindricLoop(Partition((2, 1)), 0, C24)
     assert [mu.value(i) for i in (1, 2)] == [2, 1]
     for i in range(-6, 7):
@@ -62,6 +62,10 @@ def test_make_shape():
     assert shape.size == 26
     assert make_shape(Partition((2, 1)), 0, Partition((2, 1)), C24).size == 0
     assert make_shape(Partition(), 0, Partition((1,)), C24) is EMPTY
+    # The offset is an exact int: a float or a bool is refused, not read.
+    for d in (0.5, 1.0, True):
+        with pytest.raises(QGrassError, match="offset difference d must be an int"):
+            make_shape(Partition((2, 1)), d, Partition((1,)), C24)
 
 
 def test_shape_size_matches_cells_and_wrap_count():

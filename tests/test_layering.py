@@ -41,3 +41,16 @@ def test_schur_and_tableaux_import_no_other_backend():
 def test_import_reader_sees_function_level_imports():
     # quantum imports niltl inside gw_invariant only.
     assert "niltl" in _qgrass_imports("quantum")
+
+
+def test_tableaux_imports_only_errors_and_partitions():
+    # The toric route runs on ints: the strip enumerator and the chain DP read no loop,
+    # shape or tableau object.
+    assert _qgrass_imports("tableaux") <= {"errors", "partitions"}
+
+
+def test_only_the_package_imports_cylindric():
+    # cylindric is the paper's object model, outside every route.
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    assert "tableaux" in modules and "cylindric" in _qgrass_imports("__init__")
+    assert [m for m in modules if "cylindric" in _qgrass_imports(m)] == []

@@ -284,7 +284,7 @@ def test_schubert_op_builds_only_the_h_words_the_cli_prices(monkeypatch):
         for k in range(1, n):
             ctx = GrassContext(k, n)
             for nu in enumerate_pkn(ctx):
-                schubert_op.cache_clear()
+                niltl._schubert_op.cache_clear()
                 niltl._schubert_walk.cache_clear()
                 asked.clear()
                 schubert_op(nu, ctx)

@@ -26,13 +26,13 @@ from qgrass import (
     enumerate_pkn,
     format_partition,
     from_word01,
-    make_partition,
     parse_partition,
     phi,
     quantum_product,
     schubert_class,
     to_word01,
 )
+import qgrass
 from qgrass import partitions
 from qgrass.partitions import (
     EMPTY_PARTITION,
@@ -60,12 +60,12 @@ box_partition = st.builds(
 
 
 def test_make_partition():
-    assert make_partition((6, 4, 4, 2)).parts == (6, 4, 4, 2)
-    assert make_partition((0, 0)) == Partition()
+    assert Partition((6, 4, 4, 2)).parts == (6, 4, 4, 2)
+    assert Partition((0, 0)) == Partition()
     with pytest.raises(NotWeaklyDecreasing):
-        make_partition((1, 2))
+        Partition((1, 2))
     with pytest.raises(NegativePart):
-        make_partition((2, -1))
+        Partition((2, -1))
 
 
 @pytest.mark.parametrize("parts", [(2.7, 1), (True,), (2, 1.0), ("2",)])
@@ -371,7 +371,7 @@ def test_one_partition_per_parts():
     assert Partition([3, 1]) is lam
     assert Partition(p for p in (3, 1)) is lam
     assert Partition((3, 1, 0, 0)) is lam
-    assert make_partition([3, 1]) is lam and parse_partition("3,1") is lam
+    assert parse_partition("3,1") is lam
     assert Partition() is Partition((0, 0)) is EMPTY_PARTITION
     assert Partition((3, 1)) == lam and Partition((3,)) != lam
     assert conjugate(conjugate(lam)) is lam
@@ -425,6 +425,78 @@ def test_a_partition_is_not_its_parts():
     lam = Partition((2, 1))
     assert lam != (2, 1) and (2, 1) != lam
     assert len({lam: "partition", (2, 1): "tuple"}) == 2
+
+
+C24 = GrassContext(2, 4)
+ONE = Partition((1,))
+
+
+def _boundary_calls():
+    """(name, call of one argument) for every public callable that takes a partition."""
+    q = qgrass
+    cls = q.schubert_class(ONE, C24)
+    expansion, op = q.skew_expand(Partition((2,)), ONE, 2), q.schubert_op(ONE, C24)
+    two = Partition((2,))
+    calls = {
+        "GrassContext.require_fits": lambda x: C24.require_fits(ONE, x),
+        "to_word01": lambda x: q.to_word01(x, C24),
+        "conjugate": q.conjugate,
+        "complement": lambda x: q.complement(x, C24),
+        "cyclic_shift": lambda x: q.cyclic_shift(x, C24, 1),
+        "phi": lambda x: q.phi(x, C24, 1),
+        "diag": lambda x: q.diag(x, C24, 0),
+        "format_partition": q.format_partition,
+        "CylindricLoop": lambda x: q.CylindricLoop(x, 0, C24),
+        "CylindricShape": lambda x: q.CylindricShape(two, 0, x, C24),
+        "make_shape": lambda x: q.make_shape(x, 0, ONE, C24),
+        "schubert_class": lambda x: q.schubert_class(x, C24),
+        "rimhook_reduce": lambda x: q.rimhook_reduce(x, C24),
+        "quantum_pieri": lambda x: q.quantum_pieri("h", 1, x, C24),
+        "giambelli_class": lambda x: q.giambelli_class(x, C24),
+        "lr_coefficient": lambda x: q.lr_coefficient(ONE, x, two),
+        "skew_expand": lambda x: q.skew_expand(two, x, 2),
+        "toric_schur_expand": lambda x: q.toric_schur_expand(two, 0, x, C24, 2),
+        "dmin_dmax": lambda x: q.dmin_dmax(ONE, x, C24),
+        "essential_interval": lambda x: q.essential_interval(ONE, ONE, x, C24),
+        "q_power_set": lambda x: q.q_power_set(x, ONE, C24),
+        "gw_triple": lambda x: q.gw_triple(ONE, x, ONE, C24),
+        "hidden_symmetry_check": lambda x: q.hidden_symmetry_check(x, ONE, ONE, 1, 0, -1, C24),
+        "check_strange_duality_pair": lambda x: q.check_strange_duality_pair(ONE, x, C24),
+        "quantum_kostka": lambda x: q.quantum_kostka(two, 0, x, (1,), C24),
+        "schubert_op": lambda x: q.schubert_op(x, C24),
+        "QuantumClass.coefficient": lambda x: cls.coefficient(x, 0),
+        "SchurExpansion.coefficient": expansion.coefficient,
+        "NilTLOperator.column": op.column,
+    }
+    for backend in ("bcf", "toric", "niltl"):
+        calls[f"gw_invariant[{backend}]"] = (
+            lambda x, b=backend: q.gw_invariant(ONE, x, two, 0, C24, b)
+        )
+    # A list cannot be a dict key, so these two take a parts tuple only.
+    keyed = {
+        "QuantumClass": lambda x: q.QuantumClass(C24, {(x, 0): 1}),
+        "SchurExpansion": lambda x: q.SchurExpansion(2, {x: 1}),
+    }
+    return calls, keyed
+
+
+@pytest.mark.parametrize("parts", [(1,), [1], (1, 2)], ids=["tuple", "list", "unsorted"])
+def test_every_public_function_refuses_parts_for_a_partition(parts):
+    # Partition(parts) is the one conversion: a parts tuple or list is refused with
+    # QGrassError, never read (a lookup by (1,) would find nothing) and never an
+    # AttributeError or TypeError from deep inside.
+    calls, keyed = _boundary_calls()
+    if type(parts) is tuple:
+        calls.update(keyed)
+    for name, call in calls.items():
+        try:
+            call(parts)
+        except QGrassError as exc:
+            assert "is not a Partition" in str(exc), (name, exc)
+        else:
+            pytest.fail(f"{name} accepted {parts!r}")
+        if parts != (1, 2):
+            call(Partition(parts))  # the Partition of the same parts is accepted
 
 
 def test_threads_building_one_key_get_one_object():

@@ -127,6 +127,14 @@ def test_skew_expand():
 def test_skew_expand_refuses_negative_nvars():
     with pytest.raises(VarMismatch, match=r"^nvars must be >= 0, got -1$"):
         skew_expand(Partition((2, 1)), Partition((1,)), -1)
+    # The variable count is an exact int, on the skew and the toric expansion alike.
+    for nvars in (2.0, True):
+        with pytest.raises(VarMismatch, match="nvars must be an int"):
+            skew_expand(Partition((2, 1)), Partition((1,)), nvars)
+        with pytest.raises(VarMismatch, match="nvars must be an int"):
+            toric_schur_expand(Partition((2, 1)), 0, Partition((1,)), GrassContext(2, 4), nvars)
+    with pytest.raises(QGrassError, match="offset difference d must be an int"):
+        toric_schur_expand(Partition((2, 1)), 1.0, Partition((1,)), GrassContext(2, 4), 2)
 
 
 def test_lr_rows_match_skew_schur_monomial_oracle():
@@ -400,7 +408,7 @@ def test_toric_expand_rejects_negative_nvars():
         with pytest.raises(VarMismatch, match="nvars must be >= 0, got -1"):
             toric_schur_expand(Partition(), d, Partition(), GrassContext(1, 3), -1)
     # A negative d is refused before any size test.
-    with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
+    with pytest.raises(QGrassError, match="d must be >= 0, got -1"):
         toric_schur_expand(Partition((2,)), -1, Partition(), GrassContext(1, 3), 2)
 
 

@@ -133,8 +133,16 @@ def test_quantum_kostka_zero_rules():
         quantum_kostka(Partition((5,)), 0, mu, (1,), C24)
     # a negative offset is refused before the weight is read, even one too wide for the box
     for shape in ((lam, -1, mu, (1,)), (Partition((1,)), -1, Partition(), (3,))):
-        with pytest.raises(QGrassError, match="d must be nonnegative, got -1"):
+        with pytest.raises(QGrassError, match="d must be >= 0, got -1"):
             quantum_kostka(*shape, C24)
+    # The offset and every weight are exact ints; an int weight out of range still counts 0.
+    for d in (True, 0.0):
+        with pytest.raises(QGrassError, match="offset difference d must be an int"):
+            quantum_kostka(Partition((2,)), d, mu, (1,), C24)
+    for beta in ((True,), (1.0,), (5, True)):
+        with pytest.raises(QGrassError, match="weight entry must be an int"):
+            quantum_kostka(Partition((2,)), 0, mu, beta, C24)
+    assert quantum_kostka(Partition((2,)), 0, mu, (1,), C24) == 1
 
 
 def test_quantum_kostka_classical_reduction():
