@@ -8,25 +8,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 from . import verify
 from .errors import QGrassError
-from .partitions import GrassContext, Partition, _partitions_into, format_terms, parse_partition
+from .partitions import GrassContext, Partition, format_terms, parse_partition
 from .quantum import BACKENDS, gw_invariant, quantum_product, rimhook_reduce, schubert_class
 from .schur import toric_schur_expand
 from .symmetry import dmin_dmax, q_power_set
 from .tableaux import quantum_kostka
 
 MAX_NVARS = 16
-# Bounds toric-schur's walk whatever mu is: nus * r * loops * strips, with nus the nu of |shape|
-# cells in an nvars x (n-k) box, read from the walk's own enumerator only as far as the bound
-# leaves, and r = min(nvars, |shape|) the rows of each nu's determinant.
-# A chain holds one of loops = min(C(n, k) * (1 + |shape| // n), C(|shape| + k, k)) loops
-# (C(n, k) per offset, or one per growth of the k rows), and a loop takes at most
-# strips = C(c + k - 1, k - 1) strips of c = min(n-k, |shape|) cells.  Near the bound a cold
-# walk takes at most 1.3 s on a 2-core machine, with mu empty, a staircase or a rectangle.
-MAX_TORIC_WORK = 2**22
 # Bounds the word actions of gw --backend niltl|all: (h words built) * N, each word acting on
 # every class.  Near the bound a cold call takes 0.02-1.1 s (5th to 95th percentile) on a
 # 2-core machine, at most 1.8 s: the query also builds the rest of its (nu_1, nu_2) walk.
@@ -107,27 +98,7 @@ def _cmd_toric_schur(args, ctx) -> int:
     if args.d is None or args.d < 0:
         raise QGrassError("toric-schur requires --d >= 0")
     if not 0 <= args.nvars <= MAX_NVARS:
-        raise QGrassError(
-            f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}"
-        )
-    ctx.require_fits(args.lam, args.mu)
-    size = args.lam.size + args.d * ctx.n - args.mu.size
-    rows = min(args.nvars, size)
-    if rows > 0:
-        cap = MAX_TORIC_WORK // rows
-        loops = min(
-            verify.binomial(ctx.n, ctx.k, cap) * (1 + size // ctx.n),
-            verify.binomial(size + ctx.k, ctx.k, cap),
-        )
-        strip = min(ctx.cols, size)
-        strips = verify.binomial(strip + ctx.k - 1, ctx.k - 1, cap // loops)
-        walk = _partitions_into(size, args.nvars, ctx.cols)
-        nus = sum(1 for _ in islice(walk, cap // loops // strips + 1))
-        if rows * loops * strips * nus > MAX_TORIC_WORK:
-            raise QGrassError(
-                f"toric-schur: the walk over the nu of {size} cells in at most {args.nvars} rows,"
-                f" with chains in Gr({ctx.k}, {ctx.n}), is above the bound 2^22 = {MAX_TORIC_WORK}"
-            )
+        raise QGrassError(f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}")
     expansion = toric_schur_expand(args.lam, args.d, args.mu, ctx, args.nvars)
     _emit(args, expansion.to_json_dict(), expansion)
     return 0

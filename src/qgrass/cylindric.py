@@ -31,6 +31,7 @@ class CylindricLoop:
 
     def __post_init__(self):
         self.ctx.require_fits(self.base)
+        require_int(self.offset, "loop offset")
 
     def value(self, i: int) -> int:
         """Sequence value at an arbitrary integer index."""
@@ -137,6 +138,7 @@ class CylindricShape:
     def __post_init__(self):
         self.ctx.require_fits(self.lam, self.mu)
         require_int(self.d, "offset difference d", nonnegative=True)
+        require_int(self.shift, "shape shift")
 
     @property
     def upper(self) -> CylindricLoop:

@@ -34,6 +34,7 @@ from .partitions import (
     format_terms,
     masked_det,
     masked_walk,
+    require_int,
     require_partitions,
 )
 
@@ -233,13 +234,15 @@ def _word_action(ctx: GrassContext, words: Sequence[Sequence[int]], degree: int)
     return NilTLOperator(ctx, rows, degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_op(i: int, ctx: GrassContext) -> NilTLOperator:
     """The i-th generator: move a 1 from word slot i to slot i+1 (cyclically).
 
     Every generator has degree 1, so the wrap-around generator, which
-    removes n-1 boxes, carries the factor q.
+    removes n-1 boxes, carries the factor q.  The memo is typed, so True is
+    refused even once 1 is cached.
     """
+    require_int(i, "generator index")
     return _word_action(ctx, [(i,)], 1)
 
 
@@ -249,7 +252,7 @@ def word_operator(ctx: GrassContext, word: Iterable[int]) -> NilTLOperator:
     return _word_action(ctx, [word], len(word))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
     """Noncommutative elementary (e) or complete homogeneous (h) sum of words.
 
@@ -260,6 +263,7 @@ def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
     """
     if kind not in ("e", "h"):
         raise QGrassError(f"kind must be 'e' or 'h', got {kind!r}")
+    require_int(r, "index")
     if not 1 <= r <= ctx.n - 1:
         raise IndexOutOfRange(f"index {r} outside 1..{ctx.n - 1}")
     words = []
@@ -272,9 +276,8 @@ def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
 
 def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
     """Central element: the e and h operators of complementary degrees composed."""
-    if not 1 <= l <= ctx.n - 1:
-        raise IndexOutOfRange(f"index {l} outside 1..{ctx.n - 1}")
-    return eh_op("h", ctx.n - l, ctx) @ eh_op("e", l, ctx)
+    e = eh_op("e", l, ctx)  # checks l before n - l is used
+    return eh_op("h", ctx.n - l, ctx) @ e
 
 
 def _eh_entry(kind: str, parts: Sequence[int], ctx: GrassContext):

@@ -288,6 +288,7 @@ def complement(lam: Partition, ctx: GrassContext) -> Partition:
 def cyclic_shift(lam: Partition, ctx: GrassContext, a: int) -> Partition:
     """Partition whose boundary word is lam's rotated left by a (a may be negative)."""
     ctx.require_fits(lam)
+    require_int(a, "shift")
     a %= ctx.n
     if a == 0:
         return lam
@@ -310,6 +311,7 @@ def phi(lam: Partition, ctx: GrassContext, i: int) -> int:
     Extended to all integers i by phi(i + n) = phi(i) + k.
     """
     ctx.require_fits(lam)
+    require_int(i, "boundary index")
     q, r = divmod(i, ctx.n)
     return _phi_table(lam.parts, ctx.k, ctx.n)[r] + q * ctx.k
 
@@ -328,6 +330,7 @@ def _diag_table(parts: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
 def diag(lam: Partition, ctx: GrassContext, i: int) -> int:
     """Number of cells (r, c) of lam with c - r = i, for -k <= i <= n-k."""
     ctx.require_fits(lam)
+    require_int(i, "diagonal index")
     if not (-ctx.k <= i <= ctx.cols):
         raise IndexOutOfRange(f"diagonal index {i} outside [{-ctx.k}, {ctx.cols}]")
     return _diag_table(lam.parts, ctx.k, ctx.n)[i + ctx.k]

@@ -257,6 +257,7 @@ def quantum_pieri(kind: str, r: int, mu: Partition, ctx: GrassContext) -> Quantu
     Each loop one strip of size r above the loop mu[0] is the term q^d sigma_nu,
     coefficient 1: the strip enumerator gives its base nu and offset d.
     """
+    require_int(r, "Pieri index")
     if kind == "e":
         if not 1 <= r <= ctx.k:
             raise IndexOutOfRange(f"e index {r} outside 1..{ctx.k}")
@@ -307,7 +308,8 @@ def gw_invariant(
 
     Zero whenever the degree condition |lam| = |mu| + |nu| - d*n fails.
     Backends: "bcf" (ring product and rim-hook reduction), "toric" (signed
-    Kostka sums), "niltl" (operator determinant).
+    Kostka sums, refused with QGrassError once the walk passes its budget of
+    strip steps), "niltl" (operator determinant).
     """
     if backend not in BACKENDS:
         raise QGrassError(f"unknown backend {backend!r}")
@@ -322,7 +324,8 @@ def gw_invariant(
     if backend == "bcf":
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam, d), 0)
     if backend == "toric":
-        return _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {}).get(nu.parts, 0)
+        row = _toric_rows(k, ctx.n, mu.parts, size, k, True).get((lam.parts, d), {})
+        return row.get(nu.parts, 0)
     from .niltl import schubert_op
 
     op, index = schubert_op(nu, ctx), basis_table(ctx).index

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import NotContained, VarMismatch
+from .errors import NotContained, QGrassError, VarMismatch
 from .partitions import (
     GrassContext,
     Partition,
@@ -32,6 +32,9 @@ from .partitions import (
     require_partitions,
 )
 from .tableaux import grow_chains, loop_ids
+
+# The strip steps (see grow_chains) that one metered toric walk may spend.
+TORIC_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,6 @@ class SchurExpansion:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurExpansion)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,7 +263,7 @@ def _merge_counts(acc: dict, more: dict) -> dict:
     return acc
 
 
-def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nvars: int):
+def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nvars: int, budget):
     """Yield (nu, chains) for each nu of _partitions_into(size, nvars, cols), in order.
 
     The coefficient of s_nu in lam/d/mu is the sum over w of
@@ -278,7 +274,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     only permutations fixing it survive.)  chains is that determinant's
     full-mask chain DP from mu at offset 0, keeping offsets up to dmax, or
     None if it is zero; its count at the state of lam[d] is the
-    coefficient, for every lam and every d <= dmax at once.
+    coefficient, for every lam and every d <= dmax at once.  Between two
+    steps the walk raises QGrassError once its strip steps (what grow_chains
+    spends, and 16 per row of a nu) pass budget.
 
     The nu come in lexicographic order, so masked_walk expands each prefix
     once for all its extensions.  Row r with nu_r = v takes column j from
@@ -288,12 +286,19 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     column r + 1 - v or right of it: row r leaves no column left of that free.
     """
     loops = loop_ids(k, cols)
+    spent = [0]
+
+    def spend(work):
+        spent[0] += work
+        if spent[0] > budget:
+            raise QGrassError(f"toric walk: over the budget of {budget} strip steps")
 
     def row(nu, i):
         v = nu[i - 1]
+        spend(16)  # the row's Laplace step, which runs over no states too
 
         def entry(chains, i, j, sign):
-            return grow_chains(chains, v - i + j, dmax, loops, sign) or None
+            return grow_chains(chains, v - i + j, dmax, loops, sign, spend) or None
 
         columns = range(max(1, i - v), min(nvars, i + size - sum(nu[:i]), cols + i - v) + 1)
         return columns, (1 << max(0, i - v)) - 1, entry
@@ -304,7 +309,7 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
 
 @lru_cache(maxsize=None)
 def _toric_rows(
-    k: int, n: int, mu: tuple[int, ...], size: int, nvars: int
+    k: int, n: int, mu: tuple[int, ...], size: int, nvars: int, metered: bool = False
 ) -> dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """{(lam, d): {nu: nonzero coefficient of s_nu in lam/d/mu}, in walk order}, |nu| = size.
 
@@ -318,11 +323,14 @@ def _toric_rows(
     at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
     (lam, d) with the same mu and |nu|: each key has lam in the box and
     |lam| + d*n = |mu| + |nu|.  An empty shape lam/d/mu needs no test: no
-    chain reaches lam[d], so it has no key.
+    chain reaches lam[d], so it has no key.  A metered walk spends at most
+    TORIC_BUDGET strip steps, and a refused one stores no entry.  verify's
+    walks are not metered.
     """
     loops = loop_ids(k, n - k)
     rows: dict[int, dict[tuple[int, ...], int]] = {}
-    for nu, chains in _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars):
+    budget = TORIC_BUDGET if metered else float("inf")
+    for nu, chains in _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars, budget):
         for state, c in (chains or {}).items():
             if c:
                 rows.setdefault(state, {})[nu] = c
@@ -336,7 +344,8 @@ def toric_schur_expand(
 
     For nvars = k and a toric shape the coefficients are the structure
     constants of the quantum product; for a valid non-toric shape with
-    nvars = k the expansion is identically zero.
+    nvars = k the expansion is identically zero.  QGrassError once the walk
+    passes its budget of strip steps.
     """
     require_int(nvars, "nvars", nonnegative=True, error=VarMismatch)
     ctx.require_fits(lam, mu)
@@ -344,5 +353,5 @@ def toric_schur_expand(
     size = lam.size + d * ctx.n - mu.size
     if size < 0:
         return SchurExpansion(nvars)
-    row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
+    row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars, True).get((lam.parts, d), {})
     return SchurExpansion(nvars, {_partition(nu): c for nu, c in row.items()})

@@ -101,17 +101,21 @@ def loop_ids(k: int, cols: int) -> LoopIds:
     return LoopIds(k, cols)
 
 
-def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) -> dict:
+def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, spend=None) -> dict:
     """One step of the strip-chain DP: add a horizontal strip of the given size.
 
     chains maps a chain's last loop, as a state int, to a signed count of
     chains; each count, times sign, passes to every loop one strip above
     whose offset stays at most d.  A count that has cancelled to 0 passes
-    nothing.  The size is between 0 and n-k.
+    nothing.  The size is between 0 and n-k.  spend, if given, is called
+    once the step is done with its work in strip steps: 16 for the call, one
+    per successor a count passes to, and 48 per entry, plus 48, of each
+    successor row filled (each about what it costs in passes).
     """
     out = {}
     table = loops.successors[size]
     limit = (d + 1) << _ID_BITS
+    work = 16
     for state, count in chains.items():
         if not count:
             continue
@@ -119,6 +123,8 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) 
         row = table.get(loop)
         if row is None:
             row = loops.fill(loop, size)
+            work += 48 * len(row) + 48
+        work += len(row)
         state -= loop
         if sign < 0:
             count = -count
@@ -126,6 +132,8 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1) 
             t = state + step
             if t < limit:
                 out[t] = out.get(t, 0) + count
+    if spend is not None:
+        spend(work)
     return out
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qgrass import FormMismatch, QGrassError, cli, quantum, symmetry, verify
+from qgrass import FormMismatch, QGrassError, quantum, schur, symmetry, verify
 from qgrass.cli import main
 from qgrass.niltl import NilTLOperator
 from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
@@ -83,44 +83,42 @@ def test_toric_schur_nvars_bounds(capsys):
     assert code == 0 and out.strip() == "0"
 
 
-def test_toric_schur_bounds_the_walk(capsys, monkeypatch):
-    # --nvars <= 16 bounds the variables, not the walk: on Gr(20,40) a 20-cell shape took
-    # over 20 s at 16 variables, and at d = 2 the walk would list 15,356,023 nu.
-    calls = []
-    monkeypatch.setattr(cli, "toric_schur_expand", lambda *args: calls.append(args))
-    argv = ("toric-schur", "--k", "20", "--n", "40", "--lambda", "10,10", "--mu", "0")
-    for d in ("0", "2"):
-        code, out, err = run(capsys, *argv, "--nvars", "16", "--d", d)
-        assert code == 1 and out == "" and "Traceback" not in err
-        assert "above the bound 2^22" in err
-    assert calls == []
-
-
-def test_toric_schur_price_reads_the_walks_enumerator(capsys, monkeypatch):
-    # The price counts the nu the walk reads, from the walk's own enumerator, and stops once
-    # the bound is passed: at d = 2 on Gr(20,40) there are 15,356,023 nu to list.
-    real, expand, pulled, calls = cli._partitions_into, cli.toric_schur_expand, [], []
-
-    def counting(*args):
-        for nu in real(*args):
-            pulled.append(nu)
-            yield nu
-
-    monkeypatch.setattr(cli, "_partitions_into", counting)
-    monkeypatch.setattr(cli, "toric_schur_expand", lambda *a: calls.append(a) or expand(*a))
+def test_toric_schur_bounds_the_walk(capsys):
+    # --nvars <= 16 bounds the variables, not the walk: at d = 2 on Gr(20,40) the walk would
+    # list 15,356,023 nu.  It spends its budget of strip steps and is refused, storing nothing.
+    before = schur._toric_rows.cache_info().currsize
     code, out, err = run(
         capsys, "toric-schur", "--k", "20", "--n", "40",
         "--lambda", "10,10", "--d", "2", "--mu", "0", "--nvars", "16",
     )
-    assert code == 1 and out == "" and "above the bound 2^22" in err
-    assert 0 < len(pulled) <= 4 and calls == []
-    # An admitted request reads every nu of its 11 cells in 10 rows of at most 4 cells.
-    pulled.clear()
-    code, _, _ = run(
-        capsys, "toric-schur", "--k", "4", "--n", "8",
-        "--lambda", "2,2", "--d", "1", "--mu", "1", "--nvars", "10",
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.strip() == f"error: toric walk: over the budget of {schur.TORIC_BUDGET} strip steps"
+    assert schur._toric_rows.cache_info().currsize == before
+
+
+def test_toric_schur_meter_admits_cheap_walks(capsys):
+    # A price that left mu out refused these; each walk takes well under a second.
+    for argv, expected in (
+        (("--k", "20", "--n", "40", "--lambda", "10,10", "--d", "0", "--mu", "0", "--nvars", "4"),
+         "s[10,10]"),
+        (("--k", "8", "--n", "16", "--lambda", "4,4", "--d", "1", "--mu", "0", "--nvars", "8"),
+         "0"),
+        (("--k", "2000", "--n", "4000", "--lambda", "2,1", "--d", "0", "--mu", "1",
+          "--nvars", "16"), "s[2] + s[1,1]"),
+    ):
+        code, out, err = run(capsys, "toric-schur", *argv)
+        assert (code, out.strip(), err) == (0, expected, ""), argv
+
+
+def test_gw_toric_refuses_past_the_budget(capsys):
+    # The toric backend had no bound: this request ran until it was killed.
+    square = "10,10,10,10,10,5,5,5,5,5"
+    code, out, err = run(
+        capsys, "gw", "--k", "10", "--n", "20", "--lambda", "5,5,5,5,5,5,5,5,5,5",
+        "--mu", square, "--nu", square, "--backend", "toric",
     )
-    assert code == 0 and len(calls) == 1 and pulled == list(real(11, 10, 4))
+    assert (code, out) == (1, "")
+    assert err.strip() == f"error: toric walk: over the budget of {schur.TORIC_BUDGET} strip steps"
 
 
 def test_toric_schur_ten_variables(capsys):

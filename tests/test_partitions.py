@@ -499,6 +499,29 @@ def test_every_public_function_refuses_parts_for_a_partition(parts):
             call(Partition(parts))  # the Partition of the same parts is accepted
 
 
+# An int argument given a bool or a float: each was once read as an int or failed deep
+# inside with TypeError.
+INT_ARGUMENTS = {
+    "phi": lambda: qgrass.phi(ONE, C24, 0.5),
+    "diag": lambda: qgrass.diag(ONE, C24, 0.5),
+    "cyclic_shift": lambda: qgrass.cyclic_shift(ONE, C24, True),
+    "CylindricLoop": lambda: qgrass.CylindricLoop(ONE, 0.5, C24),
+    "CylindricShape": lambda: qgrass.CylindricShape(ONE, 0, ONE, C24, shift=0.5),
+    "quantum_pieri": lambda: qgrass.quantum_pieri("h", 1.0, ONE, C24),
+    "generator_op": lambda: qgrass.generator_op(True, C24),
+    "eh_op": lambda: qgrass.eh_op("h", True, C24),
+    "z_op": lambda: qgrass.z_op(True, C24),
+}
+
+
+@pytest.mark.parametrize("name", list(INT_ARGUMENTS))
+def test_every_int_argument_is_checked(name):
+    # True hashes like 1, so a memo that holds the entry of 1 must not hand it back.
+    qgrass.generator_op(1, C24), qgrass.eh_op("h", 1, C24), qgrass.eh_op("e", 1, C24)
+    with pytest.raises(QGrassError, match="must be an int"):
+        INT_ARGUMENTS[name]()
+
+
 def test_threads_building_one_key_get_one_object():
     # A switch interval of 1 us makes threads interleave inside the constructor, where a
     # cache that checks and then stores hands two threads two objects of one key.

@@ -24,7 +24,7 @@ from qgrass import (
     quantum_kostka,
     toric_schur_expand,
 )
-from qgrass import partitions, schur
+from qgrass import partitions, schur, tableaux, verify
 from qgrass.schur import (
     _lr_by_content,
     _lr_count,
@@ -32,6 +32,7 @@ from qgrass.schur import (
     _mult_basis_canonical,
     _partitions_into,
 )
+from qgrass.tableaux import _strip_successors_raw
 
 
 def expansion(nvars, *pairs):
@@ -263,8 +264,8 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
     seen = []
     real = schur._toric_walk
 
-    def recording(k, cols, mu, d, size, nvars):
-        for nu, chains in real(k, cols, mu, d, size, nvars):
+    def recording(k, cols, mu, d, size, nvars, *args):
+        for nu, chains in real(k, cols, mu, d, size, nvars, *args):
             seen.append((nu, cols))
             yield nu, chains
 
@@ -422,6 +423,58 @@ def test_toric_expand_refuses_a_partition_outside_the_box():
         for _ in range(2):
             with pytest.raises(QGrassError, match="does not fit"):
                 toric_schur_expand(Partition(lam), 0, Partition(mu), ctx, ctx.k)
+
+
+def test_a_refused_walk_stores_nothing_and_leaves_complete_rows(monkeypatch):
+    # The meter raises between strip steps: the memo gains no entry, every successor row
+    # filled so far is whole, and the next call, under the full budget, is exact.
+    ctx, lam, mu = GrassContext(3, 6), Partition((2, 1)), Partition((1,))
+    tableaux.loop_ids.cache_clear()
+    schur._toric_rows.cache_clear()
+    full = schur.TORIC_BUDGET
+    monkeypatch.setattr(schur, "TORIC_BUDGET", 2000)
+    with pytest.raises(QGrassError, match="over the budget of 2000 strip steps"):
+        toric_schur_expand(lam, 1, mu, ctx, 5)
+    assert schur._toric_rows.cache_info().currsize == 0
+    loops = tableaux.loop_ids(3, 3)
+    assert any(loops.successors)
+    for size, table in enumerate(loops.successors):
+        for loop, row in table.items():
+            raw = _strip_successors_raw(loops.parts[loop], 3, 3, size, "horizontal")
+            assert [loops.loop(state) for state in row] == raw
+    monkeypatch.setattr(schur, "TORIC_BUDGET", full)
+    got = toric_schur_expand(lam, 1, mu, ctx, 5)
+    assert dict(got.terms) == _permutation_sum_expansion(lam, 1, mu, ctx, 5)
+
+
+def test_gw_toric_walks_under_the_budget(monkeypatch):
+    ctx, two = GrassContext(3, 6), Partition((2, 1))
+    schur._toric_rows.cache_clear()
+    monkeypatch.setattr(schur, "TORIC_BUDGET", 100)
+    with pytest.raises(QGrassError, match="over the budget of 100 strip steps"):
+        gw_invariant(two, two, Partition((3, 3)), 0, ctx, "toric")
+    assert gw_invariant(two, two, Partition((3, 3)), 0, ctx, "bcf") == 1
+
+
+def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
+    # Once a prefix has cancelled, its extensions still cost a Laplace row each, with no
+    # grow_chains call left to charge them.
+    # The 16 nu of 10 cells in 6 rows of at most 4 re-expand 47 rows between them.
+    monkeypatch.setattr(schur, "grow_chains", lambda *args: {})
+    assert len(list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47))) == 16
+    with pytest.raises(QGrassError, match="over the budget of 751 strip steps"):
+        list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47 - 1))
+
+
+def test_verify_tables_are_not_metered(monkeypatch):
+    # verify is bounded by (k, n) before any work, so its walks never meet the budget.
+    schur._toric_rows.cache_clear()
+    monkeypatch.setattr(schur, "TORIC_BUDGET", 1)
+    ctx = GrassContext(4, 8)
+    assert verify.run(ctx, "backends") == [
+        {"check": "backend_agreement_and_nonnegativity", "status": "pass"}
+    ]
+    assert schur._toric_rows.cache_info().currsize > 0
 
 
 def test_toric_expand_stabilizes_in_nvars():

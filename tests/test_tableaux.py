@@ -18,7 +18,7 @@ from qgrass import (
     quantum_kostka,
     strip_successors,
 )
-from qgrass.tableaux import _strip_successors_raw
+from qgrass.tableaux import LoopIds, _strip_successors_raw, grow_chains
 
 C24 = GrassContext(2, 4)
 C616 = GrassContext(6, 16)
@@ -213,3 +213,16 @@ def test_enumerate_tableaux_edge_cases():
     row = make_shape(Partition((2,)), 0, Partition(), c13)
     chains = list(enumerate_tableaux(row, 1))
     assert len(chains) == 1 and chains[0].weights == (2,)
+
+
+def test_grow_chains_reports_its_strip_steps():
+    # 16 per call, one per successor a count passes to, and 48 per entry, plus 48, of a
+    # successor row filled on the way; a cancelled count passes nothing.
+    ids = LoopIds(2, 2)
+    chains = {ids.state((), 0): 1, ids.state((1,), 0): 0}
+    spent = []
+    grow_chains(chains, 1, 1, ids, 1, spent.append)
+    row = ids.successors[1][ids.id[()]]
+    assert len(row) == 1 and spent == [16 + 48 * 2 + 1]
+    grow_chains(chains, 1, 1, ids, 1, spent.append)
+    assert spent[1] == 16 + 1
