@@ -98,7 +98,9 @@ def _cmd_toric_schur(args, ctx) -> int:
     if args.d is None or args.d < 0:
         raise QGrassError("toric-schur requires --d >= 0")
     if not 0 <= args.nvars <= MAX_NVARS:
-        raise QGrassError(f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}")
+        raise QGrassError(
+            f"toric-schur requires 0 <= --nvars <= {MAX_NVARS}, got {args.nvars}"
+        )
     expansion = toric_schur_expand(args.lam, args.d, args.mu, ctx, args.nvars)
     _emit(args, expansion.to_json_dict(), expansion)
     return 0

@@ -62,6 +62,13 @@ class SchurExpansion:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SchurExpansion)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
@@ -274,9 +281,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     only permutations fixing it survive.)  chains is that determinant's
     full-mask chain DP from mu at offset 0, keeping offsets up to dmax, or
     None if it is zero; its count at the state of lam[d] is the
-    coefficient, for every lam and every d <= dmax at once.  Between two
-    steps the walk raises QGrassError once its strip steps (what grow_chains
-    spends, and 16 per row of a nu) pass budget.
+    coefficient, for every lam and every d <= dmax at once.  It raises
+    QGrassError once the strip steps that grow_chains spends, as it goes,
+    and 16 per row of a nu pass budget: never with a LoopIds row half done.
 
     The nu come in lexicographic order, so masked_walk expands each prefix
     once for all its extensions.  Row r with nu_r = v takes column j from
@@ -307,7 +314,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     return masked_walk(_partitions_into(size, nvars, cols), start, row, _merge_counts)
 
 
-@lru_cache(maxsize=None)
+_TORIC_ROWS: dict = {}
+
+
 def _toric_rows(
     k: int, n: int, mu: tuple[int, ...], size: int, nvars: int, metered: bool = False
 ) -> dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]:
@@ -323,10 +332,14 @@ def _toric_rows(
     at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
     (lam, d) with the same mu and |nu|: each key has lam in the box and
     |lam| + d*n = |mu| + |nu|.  An empty shape lam/d/mu needs no test: no
-    chain reaches lam[d], so it has no key.  A metered walk spends at most
-    TORIC_BUDGET strip steps, and a refused one stores no entry.  verify's
-    walks are not metered.
+    chain reaches lam[d], so it has no key.  A metered walk (not verify's)
+    spends at most TORIC_BUDGET strip steps.  _TORIC_ROWS keeps only walks
+    that finished, keyed by the walk alone, so metered and unmetered share.
     """
+    key = (k, n, mu, size, nvars)
+    found = _TORIC_ROWS.get(key)
+    if found is not None:
+        return found
     loops = loop_ids(k, n - k)
     rows: dict[int, dict[tuple[int, ...], int]] = {}
     budget = TORIC_BUDGET if metered else float("inf")
@@ -334,7 +347,7 @@ def _toric_rows(
         for state, c in (chains or {}).items():
             if c:
                 rows.setdefault(state, {})[nu] = c
-    return {loops.loop(state): row for state, row in rows.items()}
+    return _TORIC_ROWS.setdefault(key, {loops.loop(state): row for state, row in rows.items()})
 
 
 def toric_schur_expand(
@@ -345,7 +358,7 @@ def toric_schur_expand(
     For nvars = k and a toric shape the coefficients are the structure
     constants of the quantum product; for a valid non-toric shape with
     nvars = k the expansion is identically zero.  QGrassError once the walk
-    passes its budget of strip steps.
+    passes its budget of strip steps of work (rows earlier walks filled are free).
     """
     require_int(nvars, "nvars", nonnegative=True, error=VarMismatch)
     ctx.require_fits(lam, mu)

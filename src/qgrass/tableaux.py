@@ -15,7 +15,7 @@ from .partitions import GrassContext, Partition, require_int
 
 
 def _strip_successors_raw(
-    base: tuple[int, ...], k: int, cols: int, size: int, direction: str
+    base: tuple[int, ...], k: int, cols: int, size: int, direction: str, spend=None
 ) -> list[tuple[tuple[int, ...], int]]:
     """(parts, offset increase) of every loop one strip of the given size above base.
 
@@ -28,6 +28,8 @@ def _strip_successors_raw(
     above the strip bound give no loop, size 0 gives base itself.  A strip
     enters at most one row (horizontal) or size rows below base, so only rows
     1..top are walked: if top < k, u_top and every row below it hold 0.
+    spend, if given, is told each row's work, one step and, per prefix, two
+    plus one per four cells, so a meter can stop the enumeration part way.
     """
     top = min(k, len(base) + size + 1)
     m = base + (0,) * (top - len(base))
@@ -38,12 +40,14 @@ def _strip_successors_raw(
         rows = [(p, p + 1) for p in m[:top]]
     # (u_1..u_i, cells of the strip still to place) for every admissible prefix.
     grown = [((), size)]
-    for lo, hi in rows:
+    for i, (lo, hi) in enumerate(rows, 1):
         grown = [
             (u + (v,), left - v + lo)
             for u, left in grown
             for v in range(lo, min(hi, lo + left, u[-1] if u else hi) + 1)
         ]
+        if spend is not None:
+            spend(1 + len(grown) * (2 + i // 4))
     found = []
     for u, left in grown:
         if left or u[0] > u[-1] + cols:
@@ -90,8 +94,8 @@ class LoopIds:
         """(base parts, offset) of a state."""
         return self.parts[state & _ID_MASK], state >> _ID_BITS
 
-    def fill(self, loop: int, size: int) -> tuple[int, ...]:
-        raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal")
+    def fill(self, loop: int, size: int, spend=None) -> tuple[int, ...]:
+        raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal", spend)
         row = self.successors[size][loop] = tuple(self.state(p, dinc) for p, dinc in raw)
         return row
 
@@ -107,10 +111,9 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
     chains maps a chain's last loop, as a state int, to a signed count of
     chains; each count, times sign, passes to every loop one strip above
     whose offset stays at most d.  A count that has cancelled to 0 passes
-    nothing.  The size is between 0 and n-k.  spend, if given, is called
-    once the step is done with its work in strip steps: 16 for the call, one
-    per successor a count passes to, and 48 per entry, plus 48, of each
-    successor row filled (each about what it costs in passes).
+    nothing.  The size is between 0 and n-k.  spend, if given, is told the
+    step's work as it goes (16 strip steps, and one per successor a count
+    passes to); a successor row filled on the way spends its own.
     """
     out = {}
     table = loops.successors[size]
@@ -122,9 +125,11 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
         loop = state & _ID_MASK
         row = table.get(loop)
         if row is None:
-            row = loops.fill(loop, size)
-            work += 48 * len(row) + 48
+            row = loops.fill(loop, size, spend)
         work += len(row)
+        if work > 4096 and spend is not None:
+            spend(work)
+            work = 0
         state -= loop
         if sign < 0:
             count = -count

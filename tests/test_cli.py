@@ -86,14 +86,14 @@ def test_toric_schur_nvars_bounds(capsys):
 def test_toric_schur_bounds_the_walk(capsys):
     # --nvars <= 16 bounds the variables, not the walk: at d = 2 on Gr(20,40) the walk would
     # list 15,356,023 nu.  It spends its budget of strip steps and is refused, storing nothing.
-    before = schur._toric_rows.cache_info().currsize
+    before = len(schur._TORIC_ROWS)
     code, out, err = run(
         capsys, "toric-schur", "--k", "20", "--n", "40",
         "--lambda", "10,10", "--d", "2", "--mu", "0", "--nvars", "16",
     )
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.strip() == f"error: toric walk: over the budget of {schur.TORIC_BUDGET} strip steps"
-    assert schur._toric_rows.cache_info().currsize == before
+    assert len(schur._TORIC_ROWS) == before
 
 
 def test_toric_schur_meter_admits_cheap_walks(capsys):
@@ -392,9 +392,10 @@ def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
     assert builds == []
 
 
-def test_a_second_verify_run_misses_no_memo():
-    # Every memo of the package is an lru_cache, so a second run in the same process
-    # adds no miss to any of them, and the product, LR and toric memos serve it.
+def test_a_second_verify_run_misses_no_memo(monkeypatch):
+    # A second run in the same process adds no miss to any lru_cache memo, and the product
+    # and LR memos serve it.  The toric walk memo, a dict that stores only finished walks,
+    # serves it too: the run starts no walk.
     memos = {
         f"{fn.__module__}.{fn.__qualname__}": fn
         for name, module in list(sys.modules.items()) if name.startswith("qgrass")
@@ -403,15 +404,16 @@ def test_a_second_verify_run_misses_no_memo():
     ctx = GrassContext(3, 6)
     verify.run(ctx, "all")
     before = {name: fn.cache_info() for name, fn in memos.items()}
+    walks = len(schur._TORIC_ROWS)
+    monkeypatch.setattr(schur, "_toric_walk", lambda *args: pytest.fail("walked again"))
     verify.run(ctx, "all")
     after = {name: fn.cache_info() for name, fn in memos.items()}
     assert {name: after[name].misses - before[name].misses for name in memos} == dict.fromkeys(
         memos, 0
     )
-    for name in (
-        "qgrass.quantum._qprod_raw", "qgrass.schur._lr_by_content", "qgrass.schur._toric_rows"
-    ):
+    for name in ("qgrass.quantum._qprod_raw", "qgrass.schur._lr_by_content"):
         assert after[name].hits > before[name].hits, name
+    assert len(schur._TORIC_ROWS) == walks > 0
 
 
 def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):

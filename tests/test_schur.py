@@ -270,7 +270,7 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
             yield nu, chains
 
     monkeypatch.setattr(schur, "_toric_walk", recording)
-    schur._toric_rows.cache_clear()
+    schur._TORIC_ROWS.clear()
     for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
         basis = enumerate_pkn(ctx)
         for lam in basis:
@@ -297,7 +297,7 @@ def _counting_grow_chains(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(schur, "grow_chains", counting)
-    schur._toric_rows.cache_clear()
+    schur._TORIC_ROWS.clear()
     return calls
 
 
@@ -397,7 +397,7 @@ def test_toric_expand_work_stops_growing_past_the_shape_size(monkeypatch):
                     continue
                 found = {}
                 for nvars in (shape.size, 16):
-                    schur._toric_rows.cache_clear()
+                    schur._TORIC_ROWS.clear()
                     before = len(calls)
                     terms = dict(toric_schur_expand(lam, d, mu, ctx, nvars).terms)
                     found[nvars] = (terms, len(calls) - before)
@@ -416,7 +416,7 @@ def test_toric_expand_rejects_negative_nvars():
 def test_toric_expand_refuses_a_partition_outside_the_box():
     # The expansion of lam/d/mu shares its cached walk with every lam of the same size, so a
     # cached walk must not admit a lam outside the box, on the first call or a later one.
-    schur._toric_rows.cache_clear()
+    schur._TORIC_ROWS.clear()
     ctx, one = GrassContext(2, 4), Partition((1,))
     assert _toric_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
     for lam, mu in (((3,), (1,)), ((2, 1), (3,)), ((1, 1, 1), ())):
@@ -426,30 +426,45 @@ def test_toric_expand_refuses_a_partition_outside_the_box():
 
 
 def test_a_refused_walk_stores_nothing_and_leaves_complete_rows(monkeypatch):
-    # The meter raises between strip steps: the memo gains no entry, every successor row
-    # filled so far is whole, and the next call, under the full budget, is exact.
+    # Wherever the meter raises, the memo gains no entry, every successor row filled so far
+    # is whole, and the next call, under the full budget, is exact.
     ctx, lam, mu = GrassContext(3, 6), Partition((2, 1)), Partition((1,))
-    tableaux.loop_ids.cache_clear()
-    schur._toric_rows.cache_clear()
     full = schur.TORIC_BUDGET
-    monkeypatch.setattr(schur, "TORIC_BUDGET", 2000)
-    with pytest.raises(QGrassError, match="over the budget of 2000 strip steps"):
-        toric_schur_expand(lam, 1, mu, ctx, 5)
-    assert schur._toric_rows.cache_info().currsize == 0
-    loops = tableaux.loop_ids(3, 3)
-    assert any(loops.successors)
-    for size, table in enumerate(loops.successors):
-        for loop, row in table.items():
-            raw = _strip_successors_raw(loops.parts[loop], 3, 3, size, "horizontal")
-            assert [loops.loop(state) for state in row] == raw
+    for budget in (100, 500, 1000):
+        tableaux.loop_ids.cache_clear()
+        schur._TORIC_ROWS.clear()
+        monkeypatch.setattr(schur, "TORIC_BUDGET", budget)
+        with pytest.raises(QGrassError, match=f"over the budget of {budget} strip steps"):
+            toric_schur_expand(lam, 1, mu, ctx, 5)
+        assert len(schur._TORIC_ROWS) == 0
+        loops = tableaux.loop_ids(3, 3)
+        assert any(loops.successors)
+        for size, table in enumerate(loops.successors):
+            for loop, row in table.items():
+                raw = _strip_successors_raw(loops.parts[loop], 3, 3, size, "horizontal")
+                assert [loops.loop(state) for state in row] == raw
     monkeypatch.setattr(schur, "TORIC_BUDGET", full)
     got = toric_schur_expand(lam, 1, mu, ctx, 5)
     assert dict(got.terms) == _permutation_sum_expansion(lam, 1, mu, ctx, 5)
 
 
+def test_the_meter_stops_a_successor_fill_part_way():
+    # A strip of 3 cells above the staircase of 199 rows in Gr(200,400) can be placed in
+    # about C(200, 3) = 1.3M ways, each a loop of 200 parts.  The fill spends as it
+    # enumerates them, so the walk is refused inside it, and no row is stored.
+    k = 200
+    mu = Partition(tuple(range(k - 1, 0, -1)))
+    lam = Partition((k, k - 1, k - 2) + mu.parts[3:])
+    tableaux.loop_ids.cache_clear()
+    schur._TORIC_ROWS.clear()
+    with pytest.raises(QGrassError, match="over the budget"):
+        toric_schur_expand(lam, 0, mu, GrassContext(k, 2 * k), 1)
+    assert not any(tableaux.loop_ids(k, k).successors) and not schur._TORIC_ROWS
+
+
 def test_gw_toric_walks_under_the_budget(monkeypatch):
     ctx, two = GrassContext(3, 6), Partition((2, 1))
-    schur._toric_rows.cache_clear()
+    schur._TORIC_ROWS.clear()
     monkeypatch.setattr(schur, "TORIC_BUDGET", 100)
     with pytest.raises(QGrassError, match="over the budget of 100 strip steps"):
         gw_invariant(two, two, Partition((3, 3)), 0, ctx, "toric")
@@ -468,13 +483,13 @@ def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
 
 def test_verify_tables_are_not_metered(monkeypatch):
     # verify is bounded by (k, n) before any work, so its walks never meet the budget.
-    schur._toric_rows.cache_clear()
+    schur._TORIC_ROWS.clear()
     monkeypatch.setattr(schur, "TORIC_BUDGET", 1)
     ctx = GrassContext(4, 8)
     assert verify.run(ctx, "backends") == [
         {"check": "backend_agreement_and_nonnegativity", "status": "pass"}
     ]
-    assert schur._toric_rows.cache_info().currsize > 0
+    assert len(schur._TORIC_ROWS) > 0
 
 
 def test_toric_expand_stabilizes_in_nvars():

@@ -216,13 +216,21 @@ def test_enumerate_tableaux_edge_cases():
 
 
 def test_grow_chains_reports_its_strip_steps():
-    # 16 per call, one per successor a count passes to, and 48 per entry, plus 48, of a
-    # successor row filled on the way; a cancelled count passes nothing.
-    ids = LoopIds(2, 2)
-    chains = {ids.state((), 0): 1, ids.state((1,), 0): 0}
+    # The fill of the row of (1,1,1) in Gr(4,6) walks four rows, of 2, 2, 2 and 3 prefixes
+    # of 1 to 4 cells: one step per row, and per prefix two plus one per four cells.  Then
+    # 16 for the call and one per successor a count passes to; a cancelled count passes
+    # nothing.
+    ids = LoopIds(4, 2)
+    chains = {ids.state((1, 1, 1), 0): 1, ids.state((2,), 0): 0}
     spent = []
     grow_chains(chains, 1, 1, ids, 1, spent.append)
-    row = ids.successors[1][ids.id[()]]
-    assert len(row) == 1 and spent == [16 + 48 * 2 + 1]
+    row = ids.successors[1][ids.id[1, 1, 1]]
+    assert len(row) == 2 and spent == [1 + 2 * 2] * 3 + [1 + 3 * 3, 16 + 2]
+    spent.clear()
     grow_chains(chains, 1, 1, ids, 1, spent.append)
-    assert spent[1] == 16 + 1
+    assert spent == [16 + 2]
+    # A long step reports as it goes, once past 4096 steps, not only at its end.
+    many = {ids.state((1, 1, 1), d): 1 for d in range(3000)}
+    spent.clear()
+    grow_chains(many, 1, 3000, ids, 1, spent.append)
+    assert spent == [16 + 2 * 2041, 2 * (3000 - 2041)]
