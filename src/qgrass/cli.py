@@ -11,17 +11,13 @@ import sys
 
 from . import verify
 from .errors import QGrassError
-from .partitions import GrassContext, Partition, format_terms, parse_partition
+from .partitions import GrassContext, format_terms, parse_partition
 from .quantum import BACKENDS, gw_invariant, quantum_product, rimhook_reduce, schubert_class
 from .schur import toric_schur_expand
 from .symmetry import dmin_dmax, q_power_set
 from .tableaux import quantum_kostka
 
 MAX_NVARS = 16
-# Bounds the word actions of gw --backend niltl|all: (h words built) * N, each word acting on
-# every class.  Near the bound a cold call takes 0.02-1.1 s (5th to 95th percentile) on a
-# 2-core machine, at most 1.8 s: the query also builds the rest of its (nu_1, nu_2) walk.
-MAX_NILTL_WORK = 2**20
 
 
 def _emit(args, payload, text) -> None:
@@ -34,24 +30,6 @@ def _cmd_qprod(args, ctx) -> int:
     return 0
 
 
-def _niltl_words(ctx: GrassContext, nu: Partition, cap: int) -> int:
-    """At least the number of h words schubert_op(nu) builds, or cap + 1 once that passes cap.
-
-    schubert_op reads nu from the walk of every box partition with the same nu_1 and nu_2.
-    Row 1 of their k x k determinant asks for every h_c with c = nu_1 .. nu_1 + k - 1 when a
-    lower row can take column 1 (nu_2 > 0); otherwise it builds h_(nu_1) alone.  Lower rows ask
-    for smaller c, and h_c sums C(n, c) words; this sums them over c = 1 .. top.
-    """
-    top = min(ctx.n - 1, nu.part(1) + (ctx.k - 1 if nu.part(2) else 0))
-    words, binom = 0, 1
-    for c in range(top):
-        binom = binom * (ctx.n - c) // (c + 1)
-        words += binom
-        if words > cap:
-            return cap + 1
-    return words
-
-
 def _cmd_gw(args, ctx) -> int:
     mu, nu, lam = args.mu, args.nu, args.lam
     if args.d is not None:
@@ -62,15 +40,6 @@ def _cmd_gw(args, ctx) -> int:
         q, r = divmod(mu.size + nu.size - lam.size, ctx.n)
         degrees = [q] if (r == 0 and q >= 0) else []
     ctx.require_fits(mu, nu, lam)
-    built = any(lam.size == mu.size + nu.size - d * ctx.n for d in degrees)
-    if args.backend in ("niltl", "all") and built:
-        # Every word acts on all N classes, and N >= n bounds how far the words are counted.
-        words = _niltl_words(ctx, nu, MAX_NILTL_WORK // ctx.n)
-        if words * verify.binomial(ctx.n, ctx.k, MAX_NILTL_WORK) > MAX_NILTL_WORK:
-            raise QGrassError(
-                f"niltl backend: the h words of sigma_{nu.parts} on C({ctx.n}, {ctx.k}) classes"
-                f" are above the bound 2^20 = {MAX_NILTL_WORK}"
-            )
     rows = []
     for d in degrees:
         if args.backend == "all":

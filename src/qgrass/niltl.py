@@ -17,19 +17,20 @@ of a shape, entry 1 first.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, QGrassError
 from .partitions import (
     BasisTable,
     GrassContext,
+    Meter,
     Partition,
-    _bits_to_parts,
     _partition,
-    _word_bits,
     basis_table,
+    binomial,
     conjugate,
     format_terms,
     masked_det,
@@ -37,6 +38,9 @@ from .partitions import (
     require_int,
     require_partitions,
 )
+
+# The work one _schubert_walk may do, in word actions and multiply-adds.
+NILTL_BUDGET = 2**24
 
 
 class LaurentPoly:
@@ -189,6 +193,7 @@ class NilTLOperator:
         return NilTLOperator._wrap(self.ctx, rows, degree)
 
     def power(self, m: int) -> "NilTLOperator":
+        require_int(m, "power", nonnegative=True)  # a nilpotent generator has no inverse
         result = NilTLOperator.identity(self.ctx)
         for _ in range(m):
             result = self @ result
@@ -211,27 +216,31 @@ def _word_action(ctx: GrassContext, words: Sequence[Sequence[int]], degree: int)
 
     Letter i moves the 1 in slot i to slot i+1 (cyclically); a word dies
     when slot i holds 0 or slot i+1 holds 1.  Each surviving word adds 1 at
-    (image, column).
+    (image, column).  A 01-word is an int, slot i its bit i - 1, so a letter
+    costs O(1); row r + 1 of p holds its 1 at bit p_r + k - 1 - r.
     """
     n, k = ctx.n, ctx.k
     bad = [g for word in words for g in word if not 1 <= g <= n]
     if bad:
         raise IndexOutOfRange(f"generator index {bad[0]} outside 1..{n}")
-    table = basis_table(ctx)
+    index = {
+        sum(1 << (v + k - 1 - r) for r, v in enumerate(p)) | (1 << (k - len(p))) - 1: col
+        for col, p in enumerate(basis_table(ctx).parts)
+    }
+    moves = {g: (1 << (g - 1), 1 << (g % n)) for g in range(1, n + 1)}
     rows: list[dict[int, int]] = [{} for _ in range(ctx.num_classes)]
-    for col, lam in enumerate(table.parts):
-        start = _word_bits(lam, k, n)
+    for start, col in index.items():
         for word in words:
-            bits = list(start)
+            mask = start
             for g in word:
-                src, dst = g - 1, g % n
-                if not bits[src] or bits[dst]:
+                src, dst = moves[g]
+                if not mask & src or mask & dst:
                     break
-                bits[src], bits[dst] = 0, 1
+                mask ^= src | dst
             else:
-                row = rows[table.index[_bits_to_parts(bits, k)]]
+                row = rows[index[mask]]
                 row[col] = row.get(col, 0) + 1
-    return NilTLOperator(ctx, rows, degree)
+    return NilTLOperator._wrap(ctx, tuple(rows), degree)  # counts of words: none is 0
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -280,15 +289,12 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
     return eh_op("h", ctx.n - l, ctx) @ e
 
 
-def _eh_entry(kind: str, parts: Sequence[int], ctx: GrassContext):
-    """masked_step's entry (i, j): the kind operator of degree parts[i - 1] + j - i, below n.
-
-    The h walk has parts at most n-k and columns up to k, the e determinant the reverse.
-    """
+def _eh_entry(parts: Sequence[int], times):
+    """masked_step's entry (i, j): times(c, op), c = parts[i - 1] + j - i, or op for c = 0."""
 
     def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator:
         c = parts[i - 1] + j - i
-        term = op if c == 0 else eh_op(kind, c, ctx) @ op
+        term = op if c == 0 else times(c, op)
         return term if sign == 1 else term.scaled(-1)
 
     return entry
@@ -306,13 +312,26 @@ def _schubert_walk(
     have parts at most nu_i, so they start at column i + 1 - nu_i or right of it: rows
     1..i leave no column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the
     walk fixes, so a one-row nu takes column 1 alone and builds h_(nu_1) only.
+    QGrassError once the work passes NILTL_BUDGET, read at call time: C(n, c) words on N
+    classes per h_c before eh_op runs, row 1's (c in first; h_0 is one word) before any
+    operator is built, and the multiply-adds of each product before it is formed.
     """
-    k = ctx.k
+    k, budget = ctx.k, NILTL_BUDGET
+    meter = Meter(budget, "niltl walk: over the budget of {} word actions and multiply-adds")
+    dim, held, first = binomial(ctx.n, k, budget), {}, range(top, top + (k if second else 1))
+    meter.check(sum(binomial(ctx.n, c, budget) for c in first) * dim)
+
+    def times_h(c, op):
+        if c not in held:
+            meter.check(0 if c in first else binomial(ctx.n, c, budget) * dim)
+            held[c] = Counter(chain.from_iterable(eh_op("h", c, ctx).rows)).items()
+        meter.check(sum(rows * len(op.rows[j]) for j, rows in held[c]))  # O(N): h_c's columns
+        return eh_op("h", c, ctx) @ op
 
     def row(nu, i):
         v = nu[i - 1]
         need = (1 << max(0, i - (second if i == 1 else v))) - 1
-        return range(max(1, i - v), k + 1), need, _eh_entry("h", nu, ctx)
+        return range(max(1, i - v), k + 1), need, _eh_entry(nu, times_h)
 
     tails = combinations_with_replacement(range(second, -1, -1), max(0, k - 2))
     nus = ((top, second, *tail)[:k] for tail in tails)
@@ -343,7 +362,7 @@ def _schubert_op(lam: Partition, ctx: GrassContext, kind: str) -> NilTLOperator:
         raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
     conj = conjugate(lam)
     rows = [conj.part(i) for i in range(1, ctx.cols + 1)]
-    entry = _eh_entry("e", rows, ctx)
+    entry = _eh_entry(rows, lambda c, op: eh_op("e", c, ctx) @ op)
     first = [i - p for i, p in enumerate(rows, 1)]
     det = masked_det(ctx.cols, NilTLOperator.identity(ctx), entry, operator.add, first)
     return NilTLOperator.zero(ctx) if det is None else det

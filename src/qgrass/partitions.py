@@ -482,3 +482,27 @@ def masked_det(m: int, start, entry, add, first: Sequence[int]):
         return range(max(1, key[i - 1]), m + 1), needed[i], entry
 
     return next(masked_walk([first[:m]], start, row, add))[1]
+
+
+def binomial(a: int, b: int, cap: int) -> int:
+    """C(a, b) if it is at most cap, else cap + 1; no larger number is formed."""
+    # C(a, i + 1) = C(a, i) * (a - i) / (i + 1) increases while i < min(b, a - b).
+    count = 1
+    for i in range(min(b, a - b)):
+        count = count * (a - i) // (i + 1)
+        if count > cap:
+            return cap + 1
+    return count
+
+
+class Meter:
+    """Work one walk has done; hot loops add up to 4096 to pending before they check."""
+
+    def __init__(self, budget, message: str):
+        self.pending, self.left, self.message = 0, budget, message.format(budget)
+
+    def check(self, work: int = 0) -> None:
+        self.left -= self.pending + work
+        self.pending = 0
+        if self.left < 0:
+            raise QGrassError(self.message)

@@ -308,8 +308,8 @@ def gw_invariant(
 
     Zero whenever the degree condition |lam| = |mu| + |nu| - d*n fails.
     Backends: "bcf" (ring product and rim-hook reduction), "toric" (signed
-    Kostka sums, refused with QGrassError once the walk passes its budget of
-    strip steps), "niltl" (operator determinant).
+    Kostka sums) and "niltl" (operator determinant); the last two raise
+    QGrassError once their walk passes its budget of work.
     """
     if backend not in BACKENDS:
         raise QGrassError(f"unknown backend {backend!r}")

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import NotContained, QGrassError, VarMismatch
+from .errors import NotContained, VarMismatch
 from .partitions import (
     GrassContext,
+    Meter,
     Partition,
     _partition,
     _partitions_into,
@@ -282,8 +283,8 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     full-mask chain DP from mu at offset 0, keeping offsets up to dmax, or
     None if it is zero; its count at the state of lam[d] is the
     coefficient, for every lam and every d <= dmax at once.  It raises
-    QGrassError once the strip steps that grow_chains spends, as it goes,
-    and 16 per row of a nu pass budget: never with a LoopIds row half done.
+    QGrassError once the strip steps grow_chains spends and 16 per row of a
+    nu, checked every 4096 and at the end, pass budget: never mid-LoopIds row.
 
     The nu come in lexicographic order, so masked_walk expands each prefix
     once for all its extensions.  Row r with nu_r = v takes column j from
@@ -293,25 +294,23 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     column r + 1 - v or right of it: row r leaves no column left of that free.
     """
     loops = loop_ids(k, cols)
-    spent = [0]
-
-    def spend(work):
-        spent[0] += work
-        if spent[0] > budget:
-            raise QGrassError(f"toric walk: over the budget of {budget} strip steps")
+    meter = Meter(budget, "toric walk: over the budget of {} strip steps")
 
     def row(nu, i):
         v = nu[i - 1]
-        spend(16)  # the row's Laplace step, which runs over no states too
+        meter.pending += 16  # the row's Laplace step, which runs over no states too
+        if meter.pending > 4096:
+            meter.check()
 
         def entry(chains, i, j, sign):
-            return grow_chains(chains, v - i + j, dmax, loops, sign, spend) or None
+            return grow_chains(chains, v - i + j, dmax, loops, sign, meter) or None
 
         columns = range(max(1, i - v), min(nvars, i + size - sum(nu[:i]), cols + i - v) + 1)
         return columns, (1 << max(0, i - v)) - 1, entry
 
     start = {loops.state(mu, 0): 1}
-    return masked_walk(_partitions_into(size, nvars, cols), start, row, _merge_counts)
+    yield from masked_walk(_partitions_into(size, nvars, cols), start, row, _merge_counts)
+    meter.check()
 
 
 _TORIC_ROWS: dict = {}

@@ -15,7 +15,7 @@ from .partitions import GrassContext, Partition, require_int
 
 
 def _strip_successors_raw(
-    base: tuple[int, ...], k: int, cols: int, size: int, direction: str, spend=None
+    base: tuple[int, ...], k: int, cols: int, size: int, direction: str, meter=None
 ) -> list[tuple[tuple[int, ...], int]]:
     """(parts, offset increase) of every loop one strip of the given size above base.
 
@@ -28,8 +28,8 @@ def _strip_successors_raw(
     above the strip bound give no loop, size 0 gives base itself.  A strip
     enters at most one row (horizontal) or size rows below base, so only rows
     1..top are walked: if top < k, u_top and every row below it hold 0.
-    spend, if given, is told each row's work, one step and, per prefix, two
-    plus one per four cells, so a meter can stop the enumeration part way.
+    meter, if given, is charged each row's work, one step and, per prefix,
+    two plus one per four cells, so it can stop the enumeration part way.
     """
     top = min(k, len(base) + size + 1)
     m = base + (0,) * (top - len(base))
@@ -46,8 +46,8 @@ def _strip_successors_raw(
             for u, left in grown
             for v in range(lo, min(hi, lo + left, u[-1] if u else hi) + 1)
         ]
-        if spend is not None:
-            spend(1 + len(grown) * (2 + i // 4))
+        if meter is not None:
+            meter.check(1 + len(grown) * (2 + i // 4))
     found = []
     for u, left in grown:
         if left or u[0] > u[-1] + cols:
@@ -94,8 +94,8 @@ class LoopIds:
         """(base parts, offset) of a state."""
         return self.parts[state & _ID_MASK], state >> _ID_BITS
 
-    def fill(self, loop: int, size: int, spend=None) -> tuple[int, ...]:
-        raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal", spend)
+    def fill(self, loop: int, size: int, meter=None) -> tuple[int, ...]:
+        raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal", meter)
         row = self.successors[size][loop] = tuple(self.state(p, dinc) for p, dinc in raw)
         return row
 
@@ -105,15 +105,15 @@ def loop_ids(k: int, cols: int) -> LoopIds:
     return LoopIds(k, cols)
 
 
-def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, spend=None) -> dict:
+def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, meter=None) -> dict:
     """One step of the strip-chain DP: add a horizontal strip of the given size.
 
     chains maps a chain's last loop, as a state int, to a signed count of
     chains; each count, times sign, passes to every loop one strip above
     whose offset stays at most d.  A count that has cancelled to 0 passes
-    nothing.  The size is between 0 and n-k.  spend, if given, is told the
-    step's work as it goes (16 strip steps, and one per successor a count
-    passes to); a successor row filled on the way spends its own.
+    nothing.  The size is between 0 and n-k.  meter, if given, counts the
+    step's work, 16 strip steps and one per successor a count passes to, and
+    checks it every 4096; a successor row filled on the way charges its own.
     """
     out = {}
     table = loops.successors[size]
@@ -125,10 +125,10 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
         loop = state & _ID_MASK
         row = table.get(loop)
         if row is None:
-            row = loops.fill(loop, size, spend)
+            row = loops.fill(loop, size, meter)
         work += len(row)
-        if work > 4096 and spend is not None:
-            spend(work)
+        if work > 4096 and meter is not None:
+            meter.check(work)
             work = 0
         state -= loop
         if sign < 0:
@@ -137,8 +137,10 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
             t = state + step
             if t < limit:
                 out[t] = out.get(t, 0) + count
-    if spend is not None:
-        spend(work)
+    if meter is not None:
+        meter.pending += work
+        if meter.pending > 4096:
+            meter.check()
     return out
 
 

@@ -4,7 +4,7 @@ The product table is N^2 integer row ids and the one dict that interns its rows:
 rows have one id, and the dict's keys, in insertion order, are the distinct rows.  Every
 check maps a context and the table to None when its identity holds on every item, and
 otherwise to its first counterexample, built from parts tuples and ints.  The work of a
-run is bounded from (k, n) alone, before any of it is done.
+run is bounded from (k, n) before any of it is done; each nil-TL walk meters its own.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .partitions import (
     _partition,
     _partitions_into,
     basis_table,
+    binomial,
     diag,
     enumerate_pkn,
 )
@@ -324,23 +325,12 @@ SUITES = {
 SCOPES = ("relations", "symmetries", "backends", "intervals", "classical", "all")
 
 
-def binomial(a: int, b: int, cap: int) -> int:
-    """C(a, b) if it is at most cap, else cap + 1; no larger number is formed."""
-    # C(a, i + 1) = C(a, i) * (a - i) / (i + 1) increases while i < min(b, a - b).
-    count = 1
-    for i in range(min(b, a - b)):
-        count = count * (a - i) // (i + 1)
-        if count > cap:
-            return cap + 1
-    return count
-
-
 def run(ctx: GrassContext, scope: str) -> list[dict]:
     """The report of one scope: {check, status}, plus the counterexample of a failure.
 
     Every scope but the relation suite builds the product table once, and its checks read it,
     giambelli through quantum_product.  Raises QGrassError for a scope outside SCOPES and,
-    naming the bound, when the work would exceed it.
+    naming the bound, when the work would exceed it or a nil-TL walk passes its budget.
     """
     if scope not in SCOPES:
         raise QGrassError(f"unknown scope {scope!r}")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qgrass import FormMismatch, QGrassError, quantum, schur, symmetry, verify
+from qgrass import FormMismatch, QGrassError, niltl, quantum, schur, symmetry, verify
 from qgrass.cli import main
 from qgrass.niltl import NilTLOperator
 from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
@@ -227,28 +227,50 @@ def test_verify_bounds_the_basis_before_counting_it(capsys):
 
 
 def test_gw_bounds_the_niltl_backend(capsys):
-    # schubert_op(sigma_11) builds h_1 .. h_k; words * N: Gr(3,18) 987 * 816 is under 2^20,
-    # Gr(3,19) 1159 * 969 is above it, and Gr(5,18) 12615 * 8568 far above.
+    # The walk of sigma_11 asks for h_1 .. h_k: C(n, 1) + .. + C(n, k) words, each acting on
+    # N classes.  Gr(3,19) has 1159 words on 969 classes, under the budget; Gr(5,18) has
+    # 12615 on 8568 and is refused at h_3, before it is built.
     argv = ("gw", "--lambda", "2,1", "--mu", "1", "--nu", "1,1")
-    code, out, _ = run(capsys, *argv, "--k", "3", "--n", "18", "--backend", "niltl")
-    assert code == 0 and out.strip() == "d=0: value=1"
+    budget = f"niltl walk: over the budget of {niltl.NILTL_BUDGET} "
+    for n in ("18", "19"):
+        code, out, _ = run(capsys, *argv, "--k", "3", "--n", n, "--backend", "niltl")
+        assert code == 0 and out.strip() == "d=0: value=1", n
+    code, out, _ = run(capsys, *argv, "--k", "3", "--n", "19", "--backend", "all")
+    assert code == 0 and out.strip() == "d=0: bcf=1 toric=1 niltl=1"
     for backend in ("niltl", "all"):
-        code, out, err = run(capsys, *argv, "--k", "3", "--n", "19", "--backend", backend)
-        assert code == 1 and out == "" and "2^20" in err
-    code, out, _ = run(capsys, *argv, "--k", "3", "--n", "19", "--backend", "bcf")
+        code, out, err = run(capsys, *argv, "--k", "5", "--n", "18", "--backend", backend)
+        assert code == 1 and out == "" and budget in err and "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--k", "5", "--n", "18", "--backend", "bcf")
     assert code == 0 and out.strip() == "d=0: value=1"
-    code, out, err = run(capsys, *argv, "--k", "5", "--n", "18", "--backend", "niltl")
-    assert code == 1 and out == "" and "2^20" in err
     # Without a feasible degree no operator is built, so nothing is refused.
     argv = ("gw", "--k", "5", "--n", "18", "--lambda", "1", "--mu", "1", "--nu", "1,1")
     code, out, _ = run(capsys, *argv, "--backend", "niltl")
     assert code == 0 and "no feasible degree" in out
     # A one-row nu builds h_(nu_1) alone: n words on C(n, 2) classes, though h_2 would
-    # put Gr(2,46) at 1081 * 1035, above 2^20.
+    # put Gr(2,46) at 1081 * 1035.
     argv = ("gw", "--k", "2", "--lambda", "1,1", "--mu", "1", "--nu", "1", "--backend", "niltl")
     for n in ("14", "46"):
         code, out, _ = run(capsys, *argv, "--n", n)
         assert code == 0 and out.strip() == "d=0: value=1", n
+    # A box too large to count is refused before any operator of its N rows is built.
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "gw", "--k", "20000", "--n", "40000",
+        "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--backend", "niltl",
+    )
+    assert code == 1 and out == "" and budget in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_verify_backends_runs_under_the_niltl_budget(capsys):
+    # Gr(1,24) has only 24 classes, but its nil-TL table builds every h_c, and h_12 alone
+    # is C(24, 12) words.  The walk of nu = (8) passes the budget and is refused.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--k", "1", "--n", "24", "--scope", "backends")
+    elapsed = time.perf_counter() - started
+    assert code == 1 and out == ""
+    assert f"niltl walk: over the budget of {niltl.NILTL_BUDGET} " in err
+    assert elapsed < 10.0, f"verify took {elapsed:.1f}s"
 
 
 def test_qprod_in_a_tall_box(capsys):

@@ -16,6 +16,7 @@ from qgrass import (
     eh_op,
     from_word01,
     generator_op,
+    gw_invariant,
     is_toric,
     make_shape,
     niltl,
@@ -269,9 +270,11 @@ def test_schubert_op_h_and_e_determinants_agree():
                 assert schubert_op(lam, ctx, "h") == schubert_op(lam, ctx, "e"), (k, n, lam)
 
 
-def test_schubert_op_builds_only_the_h_words_the_cli_prices(monkeypatch):
-    # gw --backend niltl prices h_1 .. h_top, top = min(n - 1, nu_1 + (k - 1 if nu_2 else 0)).
-    # A cold query builds the walk of its (nu_1, nu_2) and asks for no h_c above top.
+def test_schubert_walk_asks_for_no_h_past_its_first_row(monkeypatch):
+    # The pruning rule in _schubert_walk's docstring: row 1 asks for h_c up to
+    # c = nu_1 + k - 1 when nu_2 > 0, and for h_(nu_1) alone otherwise; no later row asks
+    # for more.  A cold query builds the walk of its (nu_1, nu_2) and asks for no h_c above
+    # top = min(n - 1, nu_1 + (k - 1 if nu_2 else 0)).
     asked = []
     real = niltl.eh_op
 
@@ -290,6 +293,43 @@ def test_schubert_op_builds_only_the_h_words_the_cli_prices(monkeypatch):
                 schubert_op(nu, ctx)
                 top = min(n - 1, nu.part(1) + (k - 1 if nu.part(2) else 0))
                 assert all(kind == "h" and r <= top for kind, r in asked), (k, n, nu, asked)
+
+
+def test_a_refused_walk_stores_no_operator(monkeypatch):
+    # The walk of sigma_11 in Gr(3,6) asks for h_1, h_2 and h_3 in row 1: 6 + 15 + 20 words
+    # on 20 classes, 820, charged before any operator is built.  Its products add 308.
+    # Refused before, part way or at its last product, the walk leaves no memo entry; at
+    # its exact cost, or the full budget, it answers as bcf does.
+    ctx, one, two = GrassContext(3, 6), Partition((1,)), Partition((1, 1))
+    niltl._schubert_walk.cache_clear()
+    niltl._schubert_op.cache_clear()
+    real, built = niltl.eh_op, []
+    monkeypatch.setattr(niltl, "eh_op", lambda *args: built.append(args) or real(*args))
+    for budget in (0, 819, 820, 1127):
+        monkeypatch.setattr(niltl, "NILTL_BUDGET", budget)
+        with pytest.raises(QGrassError, match=f"niltl walk: over the budget of {budget} "):
+            gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl")
+        assert bool(built) == (budget >= 820), budget
+        assert niltl._schubert_walk.cache_info().currsize == 0
+        assert niltl._schubert_op.cache_info().currsize == 0
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 1128)
+    assert gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl") == 1
+    niltl._schubert_walk.cache_clear()
+    niltl._schubert_op.cache_clear()
+    monkeypatch.undo()
+    for lam in enumerate_pkn(ctx):
+        want = gw_invariant(one, two, lam, 0, ctx, "bcf")
+        assert gw_invariant(one, two, lam, 0, ctx, "niltl") == want, lam
+    assert niltl._schubert_walk.cache_info().currsize == 1
+
+
+def test_power_takes_a_nonnegative_int():
+    # A nilpotent generator has no inverse, and True is not an exponent.
+    a = generator_op(1, C24)
+    for m in (-1, True):
+        with pytest.raises(QGrassError):
+            a.power(m)
+    assert a.power(0) == NilTLOperator.identity(C24) and a.power(2).is_zero()
 
 
 def test_verify_relations_all_pass():

@@ -479,6 +479,11 @@ def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
     assert len(list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47))) == 16
     with pytest.raises(QGrassError, match="over the budget of 751 strip steps"):
         list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47 - 1))
+    # The rows are checked once they pass 4096 steps, not only when the walk ends.
+    walked = []
+    with pytest.raises(QGrassError, match="over the budget of 0 strip steps"):
+        walked.extend(nu for nu, _ in schur._toric_walk(2, 4, (), 1, 40, 16, 0))
+    assert 0 < len(walked) < sum(1 for _ in _partitions_into(40, 16, 4)) // 2
 
 
 def test_verify_tables_are_not_metered(monkeypatch):

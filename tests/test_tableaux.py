@@ -18,6 +18,7 @@ from qgrass import (
     quantum_kostka,
     strip_successors,
 )
+from qgrass.partitions import Meter
 from qgrass.tableaux import LoopIds, _strip_successors_raw, grow_chains
 
 C24 = GrassContext(2, 4)
@@ -217,20 +218,22 @@ def test_enumerate_tableaux_edge_cases():
 
 def test_grow_chains_reports_its_strip_steps():
     # The fill of the row of (1,1,1) in Gr(4,6) walks four rows, of 2, 2, 2 and 3 prefixes
-    # of 1 to 4 cells: one step per row, and per prefix two plus one per four cells.  Then
-    # 16 for the call and one per successor a count passes to; a cancelled count passes
-    # nothing.
+    # of 1 to 4 cells: one step per row, and per prefix two plus one per four cells, each
+    # checked at once.  Then 16 for the call and one per successor a count passes to, left
+    # pending; a cancelled count passes nothing.
     ids = LoopIds(4, 2)
     chains = {ids.state((1, 1, 1), 0): 1, ids.state((2,), 0): 0}
-    spent = []
-    grow_chains(chains, 1, 1, ids, 1, spent.append)
+    meter = Meter(10**9, "{}")
+    grow_chains(chains, 1, 1, ids, 1, meter)
     row = ids.successors[1][ids.id[1, 1, 1]]
-    assert len(row) == 2 and spent == [1 + 2 * 2] * 3 + [1 + 3 * 3, 16 + 2]
-    spent.clear()
-    grow_chains(chains, 1, 1, ids, 1, spent.append)
-    assert spent == [16 + 2]
-    # A long step reports as it goes, once past 4096 steps, not only at its end.
+    assert len(row) == 2 and (10**9 - meter.left, meter.pending) == (3 * 5 + 10, 16 + 2)
+    # The ends of steps are checked once their pending steps pass 4096.
+    for calls in range(2, 229):
+        grow_chains(chains, 1, 1, ids, 1, meter)
+        assert meter.pending == (18 * calls if calls < 228 else 0), calls
+    assert 10**9 - meter.left == 25 + 18 * 228
+    # A long step checks as it goes, once past 4096 steps, not only at its end.
     many = {ids.state((1, 1, 1), d): 1 for d in range(3000)}
-    spent.clear()
-    grow_chains(many, 1, 3000, ids, 1, spent.append)
-    assert spent == [16 + 2 * 2041, 2 * (3000 - 2041)]
+    meter = Meter(10**9, "{}")
+    grow_chains(many, 1, 3000, ids, 1, meter)
+    assert (10**9 - meter.left, meter.pending) == (16 + 2 * 2041, 2 * (3000 - 2041))
