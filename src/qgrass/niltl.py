@@ -313,13 +313,14 @@ def _schubert_walk(
     1..i leave no column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the
     walk fixes, so a one-row nu takes column 1 alone and builds h_(nu_1) only.
     QGrassError once the work passes NILTL_BUDGET, read at call time: C(n, c) words on N
-    classes per h_c before eh_op runs, row 1's (c in first; h_0 is one word) before any
-    operator is built, and the multiply-adds of each product before it is formed.
+    classes per h_c before eh_op runs, row 1's (c in first; h_0 is one word) and k per class
+    for the basis 01-words and mask index that _word_action builds before any operator is
+    built, and the multiply-adds of each product before it is formed.
     """
     k, budget = ctx.k, NILTL_BUDGET
     meter = Meter(budget, "niltl walk: over the budget of {} word actions and multiply-adds")
     dim, held, first = binomial(ctx.n, k, budget), {}, range(top, top + (k if second else 1))
-    meter.check(sum(binomial(ctx.n, c, budget) for c in first) * dim)
+    meter.check((k + sum(binomial(ctx.n, c, budget) for c in first)) * dim)
 
     def times_h(c, op):
         if c not in held:

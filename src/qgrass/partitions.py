@@ -344,15 +344,29 @@ def graded_key(parts: tuple[int, ...]) -> tuple:
 def _partitions_into(total: int, max_parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of total into at most max_parts parts, each at most max_part.
 
-    Lexicographic with larger first parts first, as graded_key orders them.  Each first
-    part leaves a total the remaining parts can hold, so every branch yields.
+    Lexicographic with larger first parts first, as graded_key orders them.  Without
+    recursion, so any number of parts is fine: the next partition drops the last part p
+    whose cells and those after it still fit under p - 1 in the slots left, and refills
+    them greedily, the largest parts that fit first.
     """
     if total == 0:
         yield ()
-    elif 0 < total <= max_parts * max_part:
-        for first in range(min(total, max_part), (total - 1) // max_parts, -1):
-            for rest in _partitions_into(total - first, max_parts - 1, first):
-                yield (first,) + rest
+    if total <= 0 or max_part <= 0 or total > max_parts * max_part:
+        return
+    parts, left, cap = [], total, max_part
+    while True:
+        while left:
+            cap = min(cap, left)
+            parts.append(cap)
+            left -= cap
+        yield tuple(parts)
+        while parts:
+            cap = parts.pop() - 1
+            left += cap + 1
+            if left <= (max_parts - len(parts)) * cap:
+                break
+        else:
+            return
 
 
 def enumerate_pkn(ctx: GrassContext) -> list[Partition]:

@@ -324,7 +324,7 @@ def gw_invariant(
     if backend == "bcf":
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam, d), 0)
     if backend == "toric":
-        row = _toric_rows(k, ctx.n, mu.parts, size, k, True).get((lam.parts, d), {})
+        row = _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {})
         return row.get(nu.parts, 0)
     from .niltl import schubert_op
 

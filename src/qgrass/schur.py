@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
+from . import tableaux
 from .errors import NotContained, VarMismatch
 from .partitions import (
     GrassContext,
@@ -32,10 +33,7 @@ from .partitions import (
     require_int,
     require_partitions,
 )
-from .tableaux import grow_chains, loop_ids
-
-# The strip steps (see grow_chains) that one metered toric walk may spend.
-TORIC_BUDGET = 2**22
+from .tableaux import TORIC_REFUSAL, grow_chains, loop_ids
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     column r + 1 - v or right of it: row r leaves no column left of that free.
     """
     loops = loop_ids(k, cols)
-    meter = Meter(budget, "toric walk: over the budget of {} strip steps")
+    meter = Meter(budget, TORIC_REFUSAL)
 
     def row(nu, i):
         v = nu[i - 1]
@@ -313,11 +311,9 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     meter.check()
 
 
-_TORIC_ROWS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _toric_rows(
-    k: int, n: int, mu: tuple[int, ...], size: int, nvars: int, metered: bool = False
+    k: int, n: int, mu: tuple[int, ...], size: int, nvars: int
 ) -> dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """{(lam, d): {nu: nonzero coefficient of s_nu in lam/d/mu}, in walk order}, |nu| = size.
 
@@ -331,22 +327,18 @@ def _toric_rows(
     at an offset up to (|mu| + |nu|) // n.  One walk therefore serves every
     (lam, d) with the same mu and |nu|: each key has lam in the box and
     |lam| + d*n = |mu| + |nu|.  An empty shape lam/d/mu needs no test: no
-    chain reaches lam[d], so it has no key.  A metered walk (not verify's)
-    spends at most TORIC_BUDGET strip steps.  _TORIC_ROWS keeps only walks
-    that finished, keyed by the walk alone, so metered and unmetered share.
+    chain reaches lam[d], so it has no key.  Every walk, verify's too, spends
+    at most tableaux.TORIC_BUDGET strip steps, read at call time; a refused
+    walk raises, so the memo stores nothing for it.
     """
-    key = (k, n, mu, size, nvars)
-    found = _TORIC_ROWS.get(key)
-    if found is not None:
-        return found
     loops = loop_ids(k, n - k)
     rows: dict[int, dict[tuple[int, ...], int]] = {}
-    budget = TORIC_BUDGET if metered else float("inf")
-    for nu, chains in _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars, budget):
+    walk = _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars, tableaux.TORIC_BUDGET)
+    for nu, chains in walk:
         for state, c in (chains or {}).items():
             if c:
                 rows.setdefault(state, {})[nu] = c
-    return _TORIC_ROWS.setdefault(key, {loops.loop(state): row for state, row in rows.items()})
+    return {loops.loop(state): row for state, row in rows.items()}
 
 
 def toric_schur_expand(
@@ -365,5 +357,5 @@ def toric_schur_expand(
     size = lam.size + d * ctx.n - mu.size
     if size < 0:
         return SchurExpansion(nvars)
-    row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars, True).get((lam.parts, d), {})
+    row = _toric_rows(ctx.k, ctx.n, mu.parts, size, nvars).get((lam.parts, d), {})
     return SchurExpansion(nvars, {_partition(nu): c for nu, c in row.items()})

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import GrassContext, Partition, require_int
+from .partitions import GrassContext, Meter, Partition, require_int
 
 
 def _strip_successors_raw(
@@ -64,6 +64,9 @@ def _strip_successors_raw(
 # A chain state is one int, offset << _ID_BITS | loop id.
 _ID_BITS = 32
 _ID_MASK = (1 << _ID_BITS) - 1
+# The strip steps (see grow_chains) that one walk may spend, a toric walk or a Kostka count.
+TORIC_BUDGET = 2**22
+TORIC_REFUSAL = "toric walk: over the budget of {} strip steps"
 
 
 class LoopIds:
@@ -94,7 +97,7 @@ class LoopIds:
         """(base parts, offset) of a state."""
         return self.parts[state & _ID_MASK], state >> _ID_BITS
 
-    def fill(self, loop: int, size: int, meter=None) -> tuple[int, ...]:
+    def fill(self, loop: int, size: int, meter: Meter) -> tuple[int, ...]:
         raw = _strip_successors_raw(self.parts[loop], self.k, self.cols, size, "horizontal", meter)
         row = self.successors[size][loop] = tuple(self.state(p, dinc) for p, dinc in raw)
         return row
@@ -105,15 +108,15 @@ def loop_ids(k: int, cols: int) -> LoopIds:
     return LoopIds(k, cols)
 
 
-def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, meter=None) -> dict:
+def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int, meter: Meter) -> dict:
     """One step of the strip-chain DP: add a horizontal strip of the given size.
 
     chains maps a chain's last loop, as a state int, to a signed count of
     chains; each count, times sign, passes to every loop one strip above
     whose offset stays at most d.  A count that has cancelled to 0 passes
-    nothing.  The size is between 0 and n-k.  meter, if given, counts the
-    step's work, 16 strip steps and one per successor a count passes to, and
-    checks it every 4096; a successor row filled on the way charges its own.
+    nothing.  The size is between 0 and n-k.  meter counts the step's work,
+    16 strip steps and one per successor a count passes to, and checks it
+    every 4096; a successor row filled on the way charges its own.
     """
     out = {}
     table = loops.successors[size]
@@ -127,7 +130,7 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
         if row is None:
             row = loops.fill(loop, size, meter)
         work += len(row)
-        if work > 4096 and meter is not None:
+        if work > 4096:
             meter.check(work)
             work = 0
         state -= loop
@@ -137,10 +140,9 @@ def grow_chains(chains: dict, size: int, d: int, loops: LoopIds, sign: int = 1, 
             t = state + step
             if t < limit:
                 out[t] = out.get(t, 0) + count
-    if meter is not None:
-        meter.pending += work
-        if meter.pending > 4096:
-            meter.check()
+    meter.pending += work
+    if meter.pending > 4096:
+        meter.check()
     return out
 
 
@@ -151,6 +153,7 @@ def quantum_kostka(
 
     Compositions with negative entries, entries above n-k, or the wrong total
     count zero tableaux; so does an empty shape, which no chain reaches.
+    QGrassError once the chain DP passes TORIC_BUDGET strip steps, read at call time.
     """
     ctx.require_fits(lam, mu)
     require_int(d, "offset difference d", nonnegative=True)
@@ -162,7 +165,8 @@ def quantum_kostka(
     if sum(beta) != lam.size + d * ctx.n - mu.size:
         return 0
     loops = loop_ids(ctx.k, ctx.cols)
-    chains = {loops.state(mu.parts, 0): 1}
+    chains, meter = {loops.state(mu.parts, 0): 1}, Meter(TORIC_BUDGET, TORIC_REFUSAL)
     for size in beta:
-        chains = grow_chains(chains, size, d, loops)
+        chains = grow_chains(chains, size, d, loops, 1, meter)
+    meter.check()
     return chains.get(loops.state(lam.parts, d), 0)

@@ -4,7 +4,7 @@ The product table is N^2 integer row ids and the one dict that interns its rows:
 rows have one id, and the dict's keys, in insertion order, are the distinct rows.  Every
 check maps a context and the table to None when its identity holds on every item, and
 otherwise to its first counterexample, built from parts tuples and ints.  The work of a
-run is bounded from (k, n) before any of it is done; each nil-TL walk meters its own.
+run is bounded from (k, n) before any of it is done; each toric and nil-TL walk meters its own.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
 
     Every scope but the relation suite builds the product table once, and its checks read it,
     giambelli through quantum_product.  Raises QGrassError for a scope outside SCOPES and,
-    naming the bound, when the work would exceed it or a nil-TL walk passes its budget.
+    naming the bound, when the work would exceed it or a toric or nil-TL walk passes its budget.
     """
     if scope not in SCOPES:
         raise QGrassError(f"unknown scope {scope!r}")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qgrass import FormMismatch, QGrassError, niltl, quantum, schur, symmetry, verify
+from qgrass import FormMismatch, QGrassError, niltl, quantum, schur, symmetry, tableaux, verify
 from qgrass.cli import main
 from qgrass.niltl import NilTLOperator
 from qgrass.partitions import GrassContext, Partition, basis_table, enumerate_pkn
@@ -86,14 +86,14 @@ def test_toric_schur_nvars_bounds(capsys):
 def test_toric_schur_bounds_the_walk(capsys):
     # --nvars <= 16 bounds the variables, not the walk: at d = 2 on Gr(20,40) the walk would
     # list 15,356,023 nu.  It spends its budget of strip steps and is refused, storing nothing.
-    before = len(schur._TORIC_ROWS)
+    before = schur._toric_rows.cache_info().currsize
     code, out, err = run(
         capsys, "toric-schur", "--k", "20", "--n", "40",
         "--lambda", "10,10", "--d", "2", "--mu", "0", "--nvars", "16",
     )
     assert code == 1 and out == "" and "Traceback" not in err
-    assert err.strip() == f"error: toric walk: over the budget of {schur.TORIC_BUDGET} strip steps"
-    assert len(schur._TORIC_ROWS) == before
+    assert err.strip() == "error: toric walk: over the budget of 4194304 strip steps"
+    assert schur._toric_rows.cache_info().currsize == before
 
 
 def test_toric_schur_meter_admits_cheap_walks(capsys):
@@ -118,7 +118,7 @@ def test_gw_toric_refuses_past_the_budget(capsys):
         "--mu", square, "--nu", square, "--backend", "toric",
     )
     assert (code, out) == (1, "")
-    assert err.strip() == f"error: toric walk: over the budget of {schur.TORIC_BUDGET} strip steps"
+    assert err.strip() == "error: toric walk: over the budget of 4194304 strip steps"
 
 
 def test_toric_schur_ten_variables(capsys):
@@ -186,6 +186,40 @@ def test_kostka_subcommand(capsys):
         "--lambda", "1,1", "--d", "1", "--mu", "2,1", "--beta", "2,1",
     )
     assert code == 0 and out.strip() == "1"
+
+
+def test_kostka_refuses_past_the_budget(capsys):
+    # A strip of 3 cells above the staircase of 199 rows in Gr(200,400) has about
+    # C(200, 3) = 1.3M placements.  The count had no bound and ran past 60 s; it now spends
+    # the toric budget of strip steps and is refused part way through its one fill.
+    mu = ",".join(str(p) for p in range(199, 0, -1))
+    lam = "200,199,198," + ",".join(str(p) for p in range(196, 0, -1))
+    tableaux.loop_ids.cache_clear()
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "kostka", "--k", "200", "--n", "400",
+        "--lambda", lam, "--d", "0", "--mu", mu, "--beta", "3",
+    )
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.strip() == "error: toric walk: over the budget of 4194304 strip steps"
+
+
+def test_gw_reads_partitions_of_thousands_of_parts(capsys):
+    # The box enumerator once recursed once per part, and these requests ended in a
+    # RecursionError traceback: the toric walk over the nu of 2000 cells in Gr(5000,5001),
+    # which now spends its budget, and the nil-TL basis of Gr(1500,1501).
+    ones = ",".join(["1"] * 2000)
+    argv = ("gw", "--k", "5000", "--n", "5001", "--lambda", ones, "--mu", "0", "--nu", ones)
+    assert run(capsys, *argv) == (0, "d=0: value=1\n", "")
+    code, out, err = run(capsys, *argv, "--backend", "toric")
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.strip() == "error: toric walk: over the budget of 4194304 strip steps"
+    code, out, err = run(
+        capsys, "gw", "--k", "1500", "--n", "1501",
+        "--lambda", "1", "--mu", "0", "--nu", "1", "--backend", "niltl",
+    )
+    assert (code, out, err) == (0, "d=0: value=1\n", "")
 
 
 def test_invalid_input_exit_code(capsys):
@@ -414,10 +448,9 @@ def test_verify_builds_the_product_rows_once(capsys, monkeypatch):
     assert builds == []
 
 
-def test_a_second_verify_run_misses_no_memo(monkeypatch):
-    # A second run in the same process adds no miss to any lru_cache memo, and the product
-    # and LR memos serve it.  The toric walk memo, a dict that stores only finished walks,
-    # serves it too: the run starts no walk.
+def test_a_second_verify_run_misses_no_memo():
+    # A second run in the same process adds no miss to any lru_cache memo, and the product,
+    # LR and toric walk memos serve it.
     memos = {
         f"{fn.__module__}.{fn.__qualname__}": fn
         for name, module in list(sys.modules.items()) if name.startswith("qgrass")
@@ -426,16 +459,14 @@ def test_a_second_verify_run_misses_no_memo(monkeypatch):
     ctx = GrassContext(3, 6)
     verify.run(ctx, "all")
     before = {name: fn.cache_info() for name, fn in memos.items()}
-    walks = len(schur._TORIC_ROWS)
-    monkeypatch.setattr(schur, "_toric_walk", lambda *args: pytest.fail("walked again"))
     verify.run(ctx, "all")
     after = {name: fn.cache_info() for name, fn in memos.items()}
     assert {name: after[name].misses - before[name].misses for name in memos} == dict.fromkeys(
         memos, 0
     )
-    for name in ("qgrass.quantum._qprod_raw", "qgrass.schur._lr_by_content"):
+    for name in ("qgrass.quantum._qprod_raw", "qgrass.schur._lr_by_content",
+                 "qgrass.schur._toric_rows"):
         assert after[name].hits > before[name].hits, name
-    assert len(schur._TORIC_ROWS) == walks > 0
 
 
 def test_verify_refuses_a_product_term_of_the_wrong_degree(capsys, monkeypatch):

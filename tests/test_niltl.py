@@ -297,7 +297,8 @@ def test_schubert_walk_asks_for_no_h_past_its_first_row(monkeypatch):
 
 def test_a_refused_walk_stores_no_operator(monkeypatch):
     # The walk of sigma_11 in Gr(3,6) asks for h_1, h_2 and h_3 in row 1: 6 + 15 + 20 words
-    # on 20 classes, 820, charged before any operator is built.  Its products add 308.
+    # on 20 classes, plus k = 3 per class for the basis 01-words, 880, charged before any
+    # operator is built.  Its products add 308.
     # Refused before, part way or at its last product, the walk leaves no memo entry; at
     # its exact cost, or the full budget, it answers as bcf does.
     ctx, one, two = GrassContext(3, 6), Partition((1,)), Partition((1, 1))
@@ -305,14 +306,14 @@ def test_a_refused_walk_stores_no_operator(monkeypatch):
     niltl._schubert_op.cache_clear()
     real, built = niltl.eh_op, []
     monkeypatch.setattr(niltl, "eh_op", lambda *args: built.append(args) or real(*args))
-    for budget in (0, 819, 820, 1127):
+    for budget in (0, 879, 880, 1187):
         monkeypatch.setattr(niltl, "NILTL_BUDGET", budget)
         with pytest.raises(QGrassError, match=f"niltl walk: over the budget of {budget} "):
             gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl")
-        assert bool(built) == (budget >= 820), budget
+        assert bool(built) == (budget >= 880), budget
         assert niltl._schubert_walk.cache_info().currsize == 0
         assert niltl._schubert_op.cache_info().currsize == 0
-    monkeypatch.setattr(niltl, "NILTL_BUDGET", 1128)
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 1188)
     assert gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl") == 1
     niltl._schubert_walk.cache_clear()
     niltl._schubert_op.cache_clear()

@@ -349,6 +349,13 @@ def test_box_enumerator_matches_a_brute_force_filter():
                 )
                 found = list(partitions._partitions_into(total, max_parts, max_part))
                 assert found == brute, (total, max_parts, max_part)
+    # Partitions of thousands of parts, which an enumerator recursing once per part could
+    # not reach: the parts of 3000 cells, at most 2 each, in at most 2999 rows, and the
+    # one column of 2000 cells of Gr(5000,5001).
+    found = list(partitions._partitions_into(3000, 2999, 2))
+    assert found == [(2,) * a + (1,) * (3000 - 2 * a) for a in range(1500, 0, -1)]
+    assert list(partitions._partitions_into(2000, 1999, 1)) == []
+    assert box_partitions_by_size(GrassContext(5000, 5001), 2000) == [Partition((1,) * 2000)]
 
 
 def test_enumerations_share_the_interned_partitions():

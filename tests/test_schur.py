@@ -270,7 +270,7 @@ def test_toric_expand_visits_only_nu_inside_the_strip_width(monkeypatch):
             yield nu, chains
 
     monkeypatch.setattr(schur, "_toric_walk", recording)
-    schur._TORIC_ROWS.clear()
+    schur._toric_rows.cache_clear()
     for ctx in (GrassContext(1, 3), GrassContext(2, 4), GrassContext(2, 5)):
         basis = enumerate_pkn(ctx)
         for lam in basis:
@@ -297,7 +297,7 @@ def _counting_grow_chains(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(schur, "grow_chains", counting)
-    schur._TORIC_ROWS.clear()
+    schur._toric_rows.cache_clear()
     return calls
 
 
@@ -397,7 +397,7 @@ def test_toric_expand_work_stops_growing_past_the_shape_size(monkeypatch):
                     continue
                 found = {}
                 for nvars in (shape.size, 16):
-                    schur._TORIC_ROWS.clear()
+                    schur._toric_rows.cache_clear()
                     before = len(calls)
                     terms = dict(toric_schur_expand(lam, d, mu, ctx, nvars).terms)
                     found[nvars] = (terms, len(calls) - before)
@@ -416,7 +416,7 @@ def test_toric_expand_rejects_negative_nvars():
 def test_toric_expand_refuses_a_partition_outside_the_box():
     # The expansion of lam/d/mu shares its cached walk with every lam of the same size, so a
     # cached walk must not admit a lam outside the box, on the first call or a later one.
-    schur._TORIC_ROWS.clear()
+    schur._toric_rows.cache_clear()
     ctx, one = GrassContext(2, 4), Partition((1,))
     assert _toric_table(Partition((2, 1)), 0, one, ctx) == {(2,): 1, (1, 1): 1}
     for lam, mu in (((3,), (1,)), ((2, 1), (3,)), ((1, 1, 1), ())):
@@ -429,21 +429,21 @@ def test_a_refused_walk_stores_nothing_and_leaves_complete_rows(monkeypatch):
     # Wherever the meter raises, the memo gains no entry, every successor row filled so far
     # is whole, and the next call, under the full budget, is exact.
     ctx, lam, mu = GrassContext(3, 6), Partition((2, 1)), Partition((1,))
-    full = schur.TORIC_BUDGET
+    full = tableaux.TORIC_BUDGET
     for budget in (100, 500, 1000):
         tableaux.loop_ids.cache_clear()
-        schur._TORIC_ROWS.clear()
-        monkeypatch.setattr(schur, "TORIC_BUDGET", budget)
+        schur._toric_rows.cache_clear()
+        monkeypatch.setattr(tableaux, "TORIC_BUDGET", budget)
         with pytest.raises(QGrassError, match=f"over the budget of {budget} strip steps"):
             toric_schur_expand(lam, 1, mu, ctx, 5)
-        assert len(schur._TORIC_ROWS) == 0
+        assert schur._toric_rows.cache_info().currsize == 0
         loops = tableaux.loop_ids(3, 3)
         assert any(loops.successors)
         for size, table in enumerate(loops.successors):
             for loop, row in table.items():
                 raw = _strip_successors_raw(loops.parts[loop], 3, 3, size, "horizontal")
                 assert [loops.loop(state) for state in row] == raw
-    monkeypatch.setattr(schur, "TORIC_BUDGET", full)
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", full)
     got = toric_schur_expand(lam, 1, mu, ctx, 5)
     assert dict(got.terms) == _permutation_sum_expansion(lam, 1, mu, ctx, 5)
 
@@ -456,16 +456,17 @@ def test_the_meter_stops_a_successor_fill_part_way():
     mu = Partition(tuple(range(k - 1, 0, -1)))
     lam = Partition((k, k - 1, k - 2) + mu.parts[3:])
     tableaux.loop_ids.cache_clear()
-    schur._TORIC_ROWS.clear()
+    schur._toric_rows.cache_clear()
     with pytest.raises(QGrassError, match="over the budget"):
         toric_schur_expand(lam, 0, mu, GrassContext(k, 2 * k), 1)
-    assert not any(tableaux.loop_ids(k, k).successors) and not schur._TORIC_ROWS
+    assert not any(tableaux.loop_ids(k, k).successors)
+    assert schur._toric_rows.cache_info().currsize == 0
 
 
 def test_gw_toric_walks_under_the_budget(monkeypatch):
     ctx, two = GrassContext(3, 6), Partition((2, 1))
-    schur._TORIC_ROWS.clear()
-    monkeypatch.setattr(schur, "TORIC_BUDGET", 100)
+    schur._toric_rows.cache_clear()
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 100)
     with pytest.raises(QGrassError, match="over the budget of 100 strip steps"):
         gw_invariant(two, two, Partition((3, 3)), 0, ctx, "toric")
     assert gw_invariant(two, two, Partition((3, 3)), 0, ctx, "bcf") == 1
@@ -486,15 +487,23 @@ def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
     assert 0 < len(walked) < sum(1 for _ in _partitions_into(40, 16, 4)) // 2
 
 
-def test_verify_tables_are_not_metered(monkeypatch):
-    # verify is bounded by (k, n) before any work, so its walks never meet the budget.
-    schur._TORIC_ROWS.clear()
-    monkeypatch.setattr(schur, "TORIC_BUDGET", 1)
+def test_verify_tables_walk_under_the_toric_budget(monkeypatch):
+    # verify's toric table reads the same walks as every query, under the same budget: with
+    # one strip step it is refused at the first walk with a determinant row, and caches no
+    # refused walk.  The one walk it keeps, mu = () and |nu| = 0, has no row and costs 0.
     ctx = GrassContext(4, 8)
+    schur._toric_rows.cache_clear()
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 1)
+    with pytest.raises(QGrassError, match="toric walk: over the budget of 1 strip steps"):
+        verify.run(ctx, "backends")
+    assert schur._toric_rows.cache_info().currsize == 1
+    assert schur._toric_rows(4, 8, (), 0, 4) == {((), 0): {(): 1}}
+    assert schur._toric_rows.cache_info()[:2] == (1, 2)  # that call hit; the refused one missed
+    monkeypatch.undo()
     assert verify.run(ctx, "backends") == [
         {"check": "backend_agreement_and_nonnegativity", "status": "pass"}
     ]
-    assert len(schur._TORIC_ROWS) > 0
+    assert schur._toric_rows.cache_info().currsize > 0
 
 
 def test_toric_expand_stabilizes_in_nvars():

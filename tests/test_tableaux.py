@@ -18,6 +18,7 @@ from qgrass import (
     quantum_kostka,
     strip_successors,
 )
+from qgrass import tableaux
 from qgrass.partitions import Meter
 from qgrass.tableaux import LoopIds, _strip_successors_raw, grow_chains
 
@@ -184,6 +185,19 @@ def test_figure_tableau_count_frozen():
         (3, 10, 4, 6, 2, 1), C616,
     )
     assert count == 6888
+
+
+def test_kostka_counts_under_the_toric_budget(monkeypatch):
+    # The figure's count spends 202,501 strip steps from cold successor rows: admitted at
+    # exactly that budget, refused one step below it.
+    shape = Partition((9, 7, 6, 2, 2)), 2, Partition((9, 9, 7, 3, 3, 1)), (3, 10, 4, 6, 2, 1)
+    tableaux.loop_ids.cache_clear()
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 202_501)
+    assert quantum_kostka(*shape, C616) == 6888
+    tableaux.loop_ids.cache_clear()
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 202_500)
+    with pytest.raises(QGrassError, match="toric walk: over the budget of 202500 strip steps"):
+        quantum_kostka(*shape, C616)
 
 
 def test_enumerate_tableaux_counts_match_kostka():
