@@ -239,6 +239,7 @@ def strip_successors(
     """All loops above the given one whose quotient is a strip of the given size.
 
     The offset increase is 0 or 1: a strip meets each diagonal at most once.
+    QGrassError once the enumeration passes tableaux.TORIC_BUDGET strip steps.
     """
     if direction not in ("horizontal", "vertical"):
         raise QGrassError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")

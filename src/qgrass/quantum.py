@@ -27,7 +27,7 @@ from .partitions import (
     require_int,
     require_partitions,
 )
-from .schur import _mult_basis_canonical, _toric_rows
+from .schur import _mult_basis_canonical, _toric_query
 from .tableaux import _strip_successors_raw
 
 TermKey = tuple[Partition, int]
@@ -255,7 +255,9 @@ def quantum_pieri(kind: str, r: int, mu: Partition, ctx: GrassContext) -> Quantu
     """Product of sigma_mu with a generator: e_r adds vertical strips, h_r horizontal.
 
     Each loop one strip of size r above the loop mu[0] is the term q^d sigma_nu,
-    coefficient 1: the strip enumerator gives its base nu and offset d.
+    coefficient 1: the strip enumerator gives its base nu and offset d.  It runs
+    under tableaux.TORIC_BUDGET strip steps, read at call time, and raises
+    QGrassError past it.
     """
     require_int(r, "Pieri index")
     if kind == "e":
@@ -308,7 +310,9 @@ def gw_invariant(
 
     Zero whenever the degree condition |lam| = |mu| + |nu| - d*n fails.
     Backends: "bcf" (ring product and rim-hook reduction), "toric" (signed
-    Kostka sums) and "niltl" (operator determinant); the last two raise
+    Kostka sums: the len(nu) x len(nu) determinant of nu alone, walked from
+    mu[0] with offsets up to d and read at lam[d], one memo entry per
+    (mu, nu, d)) and "niltl" (operator determinant); the last two raise
     QGrassError once their walk passes its budget of work.
     """
     if backend not in BACKENDS:
@@ -318,14 +322,12 @@ def gw_invariant(
     for p in (mu, nu, lam):
         if type(p) is not Partition or len(p.parts) > k or (p.parts and p.parts[0] > cols):
             ctx.require_fits(p)
-    size = nu.size
-    if d < 0 or lam.size != mu.size + size - d * ctx.n:
+    if d < 0 or lam.size != mu.size + nu.size - d * ctx.n:
         return 0
     if backend == "bcf":
         return _basis_qprod(ctx, mu.parts, nu.parts).get((lam, d), 0)
     if backend == "toric":
-        row = _toric_rows(k, ctx.n, mu.parts, size, k).get((lam.parts, d), {})
-        return row.get(nu.parts, 0)
+        return _toric_query(k, ctx.n, mu.parts, nu.parts, d).get(lam.parts, 0)
     from .niltl import schubert_op
 
     op, index = schubert_op(nu, ctx), basis_table(ctx).index

@@ -269,8 +269,13 @@ def _merge_counts(acc: dict, more: dict) -> dict:
     return acc
 
 
-def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nvars: int, budget):
-    """Yield (nu, chains) for each nu of _partitions_into(size, nvars, cols), in order.
+def _toric_walk(
+    k: int, cols: int, mu: tuple[int, ...], dmax: int, nus, size: int, nvars: int, budget
+):
+    """Yield (nu, chains) for each nu of nus, in order.
+
+    nus holds partitions of size into at most nvars parts of at most cols, in
+    _partitions_into order: that whole stream, or one nu.
 
     The coefficient of s_nu in lam/d/mu is the sum over w of
     sgn(w) * K(lam/d/mu, beta_w), beta_w,i = nu_i - i + w(i): the
@@ -290,6 +295,8 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
     and no further than nvars or r plus the cells left, as nu has at most
     that many rows.  Later rows have parts at most v, so they start at
     column r + 1 - v or right of it: row r leaves no column left of that free.
+    One nu walked with nvars = len(nu) thus expands no column outside its
+    full mask.
     """
     loops = loop_ids(k, cols)
     meter = Meter(budget, TORIC_REFUSAL)
@@ -307,7 +314,7 @@ def _toric_walk(k: int, cols: int, mu: tuple[int, ...], dmax: int, size: int, nv
         return columns, (1 << max(0, i - v)) - 1, entry
 
     start = {loops.state(mu, 0): 1}
-    yield from masked_walk(_partitions_into(size, nvars, cols), start, row, _merge_counts)
+    yield from masked_walk(nus, start, row, _merge_counts)
     meter.check()
 
 
@@ -333,12 +340,32 @@ def _toric_rows(
     """
     loops = loop_ids(k, n - k)
     rows: dict[int, dict[tuple[int, ...], int]] = {}
-    walk = _toric_walk(k, n - k, mu, (sum(mu) + size) // n, size, nvars, tableaux.TORIC_BUDGET)
-    for nu, chains in walk:
+    nus, dmax = _partitions_into(size, nvars, n - k), (sum(mu) + size) // n
+    for nu, chains in _toric_walk(k, n - k, mu, dmax, nus, size, nvars, tableaux.TORIC_BUDGET):
         for state, c in (chains or {}).items():
             if c:
                 rows.setdefault(state, {})[nu] = c
     return {loops.loop(state): row for state, row in rows.items()}
+
+
+@lru_cache(maxsize=None)
+def _toric_query(
+    k: int, n: int, mu: tuple[int, ...], nu: tuple[int, ...], d: int
+) -> dict[tuple[int, ...], int]:
+    """{lam: nonzero coefficient of s_nu in lam/d/mu in k variables}, for this nu alone.
+
+    The walk of the one key nu, its chains capped at offset d: the count at the
+    state of lam[d] is the coefficient.  It spends at most tableaux.TORIC_BUDGET
+    strip steps, read at call time; a refused walk raises, so the memo stores
+    nothing for it.
+    """
+    loops, out = loop_ids(k, n - k), {}
+    for _, chains in _toric_walk(k, n - k, mu, d, (nu,), sum(nu), len(nu), tableaux.TORIC_BUDGET):
+        for state, c in (chains or {}).items():
+            lam, e = loops.loop(state)
+            if c and e == d:
+                out[lam] = c
+    return out
 
 
 def toric_schur_expand(

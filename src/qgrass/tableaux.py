@@ -28,9 +28,13 @@ def _strip_successors_raw(
     above the strip bound give no loop, size 0 gives base itself.  A strip
     enters at most one row (horizontal) or size rows below base, so only rows
     1..top are walked: if top < k, u_top and every row below it hold 0.
-    meter, if given, is charged each row's work, one step and, per prefix,
-    two plus one per four cells, so it can stop the enumeration part way.
+    meter is charged each row's work, one step and, per prefix, two plus
+    one per four cells, so it can stop the enumeration part way; without
+    one, the call runs under a meter of its own of TORIC_BUDGET strip steps,
+    read at call time, so quantum_pieri and strip_successors are bounded too.
     """
+    if meter is None:
+        meter = Meter(TORIC_BUDGET, TORIC_REFUSAL)
     top = min(k, len(base) + size + 1)
     m = base + (0,) * (top - len(base))
     if direction == "horizontal":
@@ -46,8 +50,7 @@ def _strip_successors_raw(
             for u, left in grown
             for v in range(lo, min(hi, lo + left, u[-1] if u else hi) + 1)
         ]
-        if meter is not None:
-            meter.check(1 + len(grown) * (2 + i // 4))
+        meter.check(1 + len(grown) * (2 + i // 4))
     found = []
     for u, left in grown:
         if left or u[0] > u[-1] + cols:

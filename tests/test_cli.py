@@ -111,14 +111,23 @@ def test_toric_schur_meter_admits_cheap_walks(capsys):
 
 
 def test_gw_toric_refuses_past_the_budget(capsys):
-    # The toric backend had no bound: this request ran until it was killed.
-    square = "10,10,10,10,10,5,5,5,5,5"
+    # The toric backend walks the determinant of the asked nu alone.  On Gr(12,24) that walk
+    # still passes the budget; the Gr(10,20) analog, which the walk over every nu of |nu|
+    # cells refused, is answered, and agrees with bcf.
+    square = "12,12,12,12,12,12,6,6,6,6,6,6"
     code, out, err = run(
-        capsys, "gw", "--k", "10", "--n", "20", "--lambda", "5,5,5,5,5,5,5,5,5,5",
+        capsys, "gw", "--k", "12", "--n", "24", "--lambda", ",".join(["6"] * 12),
         "--mu", square, "--nu", square, "--backend", "toric",
     )
     assert (code, out) == (1, "")
     assert err.strip() == "error: toric walk: over the budget of 4194304 strip steps"
+    square = "10,10,10,10,10,5,5,5,5,5"
+    for backend in ("toric", "bcf"):
+        code, out, err = run(
+            capsys, "gw", "--k", "10", "--n", "20", "--lambda", ",".join(["5"] * 10),
+            "--mu", square, "--nu", square, "--backend", backend,
+        )
+        assert (code, out.strip(), err) == (0, "d=5: value=1", ""), backend
 
 
 def test_toric_schur_ten_variables(capsys):

@@ -466,10 +466,44 @@ def test_the_meter_stops_a_successor_fill_part_way():
 def test_gw_toric_walks_under_the_budget(monkeypatch):
     ctx, two = GrassContext(3, 6), Partition((2, 1))
     schur._toric_rows.cache_clear()
+    schur._toric_query.cache_clear()
     monkeypatch.setattr(tableaux, "TORIC_BUDGET", 100)
     with pytest.raises(QGrassError, match="over the budget of 100 strip steps"):
         gw_invariant(two, two, Partition((3, 3)), 0, ctx, "toric")
     assert gw_invariant(two, two, Partition((3, 3)), 0, ctx, "bcf") == 1
+
+
+def test_gw_toric_query_matches_the_walk_rows_and_bcf():
+    # The walk of the asked nu alone, read at lam[d], equals that nu's entry in the walk over
+    # every nu of |nu| cells, and the bcf value, on every feasible tuple with n <= 7.
+    for n in range(2, 8):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            basis = enumerate_pkn(ctx)
+            for mu, nu, lam in product(basis, repeat=3):
+                d, excess = divmod(mu.size + nu.size - lam.size, n)
+                if d < 0 or excess:
+                    continue
+                rows = schur._toric_rows(k, n, mu.parts, nu.size, k)
+                walked = rows.get((lam.parts, d), {}).get(nu.parts, 0)
+                toric = gw_invariant(mu, nu, lam, d, ctx, "toric")
+                assert toric == walked == gw_invariant(mu, nu, lam, d, ctx), (mu, nu, lam, d)
+
+
+def test_a_refused_toric_query_stores_nothing(monkeypatch):
+    # The query memo gains no entry for a walk the meter refuses, and the same query under
+    # the full budget is answered and stored.
+    ctx, two = GrassContext(3, 6), Partition((2, 1))
+    schur._toric_query.cache_clear()
+    assert gw_invariant(two, two, Partition((3, 3)), 0, ctx, "toric") == 1
+    before = schur._toric_query.cache_info().currsize
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 10)
+    with pytest.raises(QGrassError, match="over the budget of 10 strip steps"):
+        gw_invariant(two, Partition((2, 2)), Partition((3, 3, 1)), 0, ctx, "toric")
+    assert schur._toric_query.cache_info().currsize == before
+    monkeypatch.undo()
+    assert gw_invariant(two, Partition((2, 2)), Partition((3, 3, 1)), 0, ctx, "toric") == 1
+    assert schur._toric_query.cache_info().currsize == before + 1
 
 
 def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
@@ -477,13 +511,18 @@ def test_the_walk_charges_rows_that_reach_no_chains(monkeypatch):
     # grow_chains call left to charge them.
     # The 16 nu of 10 cells in 6 rows of at most 4 re-expand 47 rows between them.
     monkeypatch.setattr(schur, "grow_chains", lambda *args: {})
-    assert len(list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47))) == 16
+
+    def walk(size, nvars, budget):
+        nus = _partitions_into(size, nvars, 4)
+        return schur._toric_walk(2, 4, (), 1, nus, size, nvars, budget)
+
+    assert len(list(walk(10, 6, 16 * 47))) == 16
     with pytest.raises(QGrassError, match="over the budget of 751 strip steps"):
-        list(schur._toric_walk(2, 4, (), 1, 10, 6, 16 * 47 - 1))
+        list(walk(10, 6, 16 * 47 - 1))
     # The rows are checked once they pass 4096 steps, not only when the walk ends.
     walked = []
     with pytest.raises(QGrassError, match="over the budget of 0 strip steps"):
-        walked.extend(nu for nu, _ in schur._toric_walk(2, 4, (), 1, 40, 16, 0))
+        walked.extend(nu for nu, _ in walk(40, 16, 0))
     assert 0 < len(walked) < sum(1 for _ in _partitions_into(40, 16, 4)) // 2
 
 

@@ -16,6 +16,7 @@ from qgrass import (
     is_strip,
     make_shape,
     quantum_kostka,
+    quantum_pieri,
     strip_successors,
 )
 from qgrass import tableaux
@@ -198,6 +199,27 @@ def test_kostka_counts_under_the_toric_budget(monkeypatch):
     monkeypatch.setattr(tableaux, "TORIC_BUDGET", 202_500)
     with pytest.raises(QGrassError, match="toric walk: over the budget of 202500 strip steps"):
         quantum_kostka(*shape, C616)
+
+
+def test_strip_enumerator_callers_walk_under_the_toric_budget(monkeypatch):
+    # A strip of 3 cells above the staircase (199, ..., 1) on Gr(200,400) can be placed in
+    # about 1.3M ways; unmetered, quantum_pieri ran past 8 s on it.  Both public callers of
+    # the strip enumerator are refused inside it, under the budget read at call time.
+    k = 200
+    ctx, mu = GrassContext(k, 2 * k), Partition(tuple(range(k - 1, 0, -1)))
+    for call in (
+        lambda: quantum_pieri("h", 3, mu, ctx),
+        lambda: strip_successors(CylindricLoop(mu, 0, ctx), 3, "horizontal"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(QGrassError, match="toric walk: over the budget of 4194304 strip"):
+            call()
+        assert time.perf_counter() - start < 10
+    monkeypatch.setattr(tableaux, "TORIC_BUDGET", 2)
+    with pytest.raises(QGrassError, match="over the budget of 2 strip steps"):
+        quantum_pieri("e", 1, Partition(), C24)
+    with pytest.raises(QGrassError, match="over the budget of 2 strip steps"):
+        strip_successors(loops(()), 1, "vertical")
 
 
 def test_enumerate_tableaux_counts_match_kostka():
