@@ -31,16 +31,15 @@ from .partitions import (
     _partition,
     basis_table,
     binomial,
-    conjugate,
     format_terms,
-    masked_det,
     masked_walk,
     require_int,
     require_partitions,
 )
 
-# The work one _schubert_walk may do, in word actions and multiply-adds.
+# The work one _schubert_walk or eh_op may do, in word actions and multiply-adds.
 NILTL_BUDGET = 2**24
+NILTL_REFUSAL = "niltl walk: over the budget of {} word actions and multiply-adds"
 
 
 class LaurentPoly:
@@ -269,12 +268,16 @@ def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
     after a missing index, a subset is its h word: each maximal run comes
     out bottom-up, and runs are flanked by non-members, so letters of
     different runs commute.  The e word is the h word reversed.
+    QGrassError before any word is built when its C(n, r) words on N classes pass
+    NILTL_BUDGET, read at call time.
     """
     if kind not in ("e", "h"):
         raise QGrassError(f"kind must be 'e' or 'h', got {kind!r}")
     require_int(r, "index")
     if not 1 <= r <= ctx.n - 1:
         raise IndexOutOfRange(f"index {r} outside 1..{ctx.n - 1}")
+    budget = NILTL_BUDGET
+    Meter(budget, NILTL_REFUSAL).check(binomial(ctx.n, r, budget) * binomial(ctx.n, ctx.k, budget))
     words = []
     for subset in combinations(range(1, ctx.n + 1), r):
         gap = min(set(range(1, ctx.n + 1)).difference(subset))
@@ -287,17 +290,6 @@ def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
     """Central element: the e and h operators of complementary degrees composed."""
     e = eh_op("e", l, ctx)  # checks l before n - l is used
     return eh_op("h", ctx.n - l, ctx) @ e
-
-
-def _eh_entry(parts: Sequence[int], times):
-    """masked_step's entry (i, j): times(c, op), c = parts[i - 1] + j - i, or op for c = 0."""
-
-    def entry(op: NilTLOperator, i: int, j: int, sign: int) -> NilTLOperator:
-        c = parts[i - 1] + j - i
-        term = op if c == 0 else times(c, op)
-        return term if sign == 1 else term.scaled(-1)
-
-    return entry
 
 
 @lru_cache(maxsize=None)
@@ -318,21 +310,26 @@ def _schubert_walk(
     built, and the multiply-adds of each product before it is formed.
     """
     k, budget = ctx.k, NILTL_BUDGET
-    meter = Meter(budget, "niltl walk: over the budget of {} word actions and multiply-adds")
+    meter = Meter(budget, NILTL_REFUSAL)
     dim, held, first = binomial(ctx.n, k, budget), {}, range(top, top + (k if second else 1))
     meter.check((k + sum(binomial(ctx.n, c, budget) for c in first)) * dim)
-
-    def times_h(c, op):
-        if c not in held:
-            meter.check(0 if c in first else binomial(ctx.n, c, budget) * dim)
-            held[c] = Counter(chain.from_iterable(eh_op("h", c, ctx).rows)).items()
-        meter.check(sum(rows * len(op.rows[j]) for j, rows in held[c]))  # O(N): h_c's columns
-        return eh_op("h", c, ctx) @ op
 
     def row(nu, i):
         v = nu[i - 1]
         need = (1 << max(0, i - (second if i == 1 else v))) - 1
-        return range(max(1, i - v), k + 1), need, _eh_entry(nu, times_h)
+
+        def entry(op, i, j, sign):  # masked_step's entry (i, j): h_c op, c = nu_i + j - i
+            c = v + j - i
+            if c:
+                if c not in held:
+                    meter.check(0 if c in first else binomial(ctx.n, c, budget) * dim)
+                    held[c] = Counter(chain.from_iterable(eh_op("h", c, ctx).rows)).items()
+                # O(N): h_c's rows that hold column l, times the length of op's row l
+                meter.check(sum(rows * len(op.rows[l]) for l, rows in held[c]))
+                op = eh_op("h", c, ctx) @ op
+            return op if sign == 1 else op.scaled(-1)
+
+        return range(max(1, i - v), k + 1), need, entry
 
     tails = combinations_with_replacement(range(second, -1, -1), max(0, k - 2))
     nus = ((top, second, *tail)[:k] for tail in tails)
@@ -342,31 +339,20 @@ def _schubert_walk(
     }
 
 
-def schubert_op(lam: Partition, ctx: GrassContext, kind: str = "h") -> NilTLOperator:
-    """Operator of quantum multiplication by sigma_lam, as a determinant.
+def schubert_op(lam: Partition, ctx: GrassContext) -> NilTLOperator:
+    """Operator of quantum multiplication by sigma_lam: the k x k determinant in the h operators.
 
-    kind "h" takes the k x k determinant in the h operators, read from the prefix-sharing
-    walk of (lam_1, lam_2); kind "e" expands the (n-k) x (n-k) determinant in the e
-    operators over the conjugate shape with masked_det.  Both give the same matrix.
+    Read from the prefix-sharing walk of (lam_1, lam_2), under NILTL_BUDGET.
     """
     if type(lam) is not Partition:  # a list must not reach the memo's hash
         require_partitions(lam)
-    return _schubert_op(lam, ctx, kind)
+    return _schubert_op(lam, ctx)
 
 
 @lru_cache(maxsize=None)
-def _schubert_op(lam: Partition, ctx: GrassContext, kind: str) -> NilTLOperator:
+def _schubert_op(lam: Partition, ctx: GrassContext) -> NilTLOperator:
     ctx.require_fits(lam)  # on a miss only: a warm read, as verify's tables make, checks no box
-    if kind == "h":
-        return _schubert_walk(ctx, lam.part(1), lam.part(2))[lam.parts]
-    if kind != "e":
-        raise QGrassError(f"kind must be 'h' or 'e', got {kind!r}")
-    conj = conjugate(lam)
-    rows = [conj.part(i) for i in range(1, ctx.cols + 1)]
-    entry = _eh_entry(rows, lambda c, op: eh_op("e", c, ctx) @ op)
-    first = [i - p for i, p in enumerate(rows, 1)]
-    det = masked_det(ctx.cols, NilTLOperator.identity(ctx), entry, operator.add, first)
-    return NilTLOperator.zero(ctx) if det is None else det
+    return _schubert_walk(ctx, lam.part(1), lam.part(2))[lam.parts]
 
 
 def verify_relations(ctx: GrassContext) -> list[dict[str, str]]:

@@ -6,8 +6,7 @@ tuple, as contexts are one object per (k, n); both hash and compare by
 identity, so they are cheap dict keys everywhere else in the package.
 masked_step is the one determinant kernel and masked_walk its one fold: the
 toric and nil-TL h walks run it over many keys, and masked_det, behind the
-Giambelli classes and the e determinants of the nil-Temperley-Lieb backend,
-over one.
+Giambelli classes, over one.
 """
 
 from __future__ import annotations

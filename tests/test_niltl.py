@@ -1,3 +1,5 @@
+import operator
+import time
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +13,7 @@ from qgrass import (
     Partition,
     QGrassError,
     Word01,
+    conjugate,
     enumerate_pkn,
     enumerate_tableaux,
     eh_op,
@@ -28,6 +31,7 @@ from qgrass import (
     word_operator,
     z_op,
 )
+from qgrass.partitions import masked_det
 
 C24 = GrassContext(2, 4)
 
@@ -198,7 +202,7 @@ def test_operator_entries_are_homogeneous():
     ctx = GrassContext(3, 6)
     basis = enumerate_pkn(ctx)
     ops = [eh_op(kind, r, ctx) for kind in ("e", "h") for r in range(1, ctx.n)]
-    ops += [schubert_op(lam, ctx, kind) for lam in basis for kind in ("h", "e")]
+    ops += [schubert_op(lam, ctx) for lam in basis] + [_e_determinant(lam, ctx) for lam in basis]
     for op in ops:
         for i, row in enumerate(op.rows):
             for j in row:
@@ -261,13 +265,32 @@ def test_schubert_op_is_multiplication_matrix():
                 assert got == {key: c for key, c in product.terms.items()}
 
 
+def _e_determinant(lam, ctx):
+    """The oracle of schubert_op: the (n-k) x (n-k) determinant in the e operators.
+
+    Entry (i, j) is e_c, c = lam'_i + j - i over the conjugate lam', and e_0 the identity;
+    masked_det never asks for an entry left of column i - lam'_i.
+    """
+    rows = [conjugate(lam).part(i) for i in range(1, ctx.cols + 1)]
+
+    def entry(op, i, j, sign):
+        c = rows[i - 1] + j - i
+        term = op if c == 0 else eh_op("e", c, ctx) @ op
+        return term if sign == 1 else term.scaled(-1)
+
+    first = [i - p for i, p in enumerate(rows, 1)]
+    det = masked_det(ctx.cols, NilTLOperator.identity(ctx), entry, operator.add, first)
+    return NilTLOperator.zero(ctx) if det is None else det
+
+
 def test_schubert_op_h_and_e_determinants_agree():
-    # Kind "h" is the prefix-sharing walk, kind "e" the masked_det oracle over the conjugate.
+    # schubert_op is the prefix-sharing walk of the h determinant; the oracle expands the
+    # e determinant over the conjugate.
     for n in range(2, 9):
         for k in range(1, n):
             ctx = GrassContext(k, n)
             for lam in enumerate_pkn(ctx):
-                assert schubert_op(lam, ctx, "h") == schubert_op(lam, ctx, "e"), (k, n, lam)
+                assert schubert_op(lam, ctx) == _e_determinant(lam, ctx), (k, n, lam)
 
 
 def test_schubert_walk_asks_for_no_h_past_its_first_row(monkeypatch):
@@ -322,6 +345,25 @@ def test_a_refused_walk_stores_no_operator(monkeypatch):
         want = gw_invariant(one, two, lam, 0, ctx, "bcf")
         assert gw_invariant(one, two, lam, 0, ctx, "niltl") == want, lam
     assert niltl._schubert_walk.cache_info().currsize == 1
+
+
+def test_eh_op_refuses_past_the_budget(monkeypatch):
+    # h_12 of Gr(1,24) is C(24, 12) words on 24 classes, about 65M word actions: refused
+    # before any word is built.  h_3 of Gr(3,6) is 20 words on 20 classes: admitted at a
+    # budget of 400, refused at 399, and a refusal stores nothing.
+    started = time.perf_counter()
+    with pytest.raises(QGrassError, match=f"over the budget of {niltl.NILTL_BUDGET} "):
+        eh_op("h", 12, GrassContext(1, 24))
+    assert time.perf_counter() - started < 1.0
+    ctx = GrassContext(3, 6)
+    want = eh_op("h", 3, ctx)
+    eh_op.cache_clear()
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 399)
+    with pytest.raises(QGrassError, match="niltl walk: over the budget of 399 "):
+        eh_op("h", 3, ctx)
+    assert eh_op.cache_info().currsize == 0
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 400)
+    assert eh_op("h", 3, ctx) == want
 
 
 def test_power_takes_a_nonnegative_int():
