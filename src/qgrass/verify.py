@@ -10,7 +10,7 @@ run is bounded from (k, n) before any of it is done; each toric and nil-TL walk 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import FormMismatch, QGrassError
@@ -32,8 +32,6 @@ from .symmetry import dmin_dmax
 MAX_CLASSES = 500
 # Bounds the relation suite: eh_op applies all 2^n - 2 cyclic words to N classes.
 MAX_RELATION_WORK = 2**20
-# Bounds the triple sweeps: the hidden sweep compares N^3 invariants for n^2 shifts.
-MAX_SWEEP_WORK = 2**31
 
 Ids = list[int]
 Pool = dict[tuple[int, ...], int]
@@ -182,26 +180,29 @@ def check_classical(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
 def s3_symmetry_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """gw_triple(i, j, l) = row (i, j) at complement[l] is invariant under permuting the triple.
 
-    Returns the first failing (lam, mu, nu) as parts tuples, or None.
+    Checks the generating swaps, (i j) by row id and (j l) as the symmetry of the block of rows
+    (i, comp m); returns the least failing sorted (lam, mu, nu) as parts tuples, or None.
     """
     table = basis_table(ctx)
     dim, comp = len(table.parts), table.complement
-    rows = list(pool)
-    full = [rows[x] for x in ids]
-    for i, j, l in combinations_with_replacement(range(dim), 3):
-        base = full[i * dim + j][comp[l]]
-        for x, y, z in permutations((i, j, l)):
-            if full[x * dim + y][comp[z]] != base:
-                return (table.parts[i], table.parts[j], table.parts[l])
-    return None
+    rows, failures = list(pool), []
+    for i in range(dim):
+        row, column = ids[i * dim : (i + 1) * dim], ids[i::dim]
+        swapped = ((j, rows[y]) for j, (x, y) in enumerate(zip(row, column)) if x != y)
+        for j, other in chain(swapped, zip(comp, zip(*(rows[row[j]] for j in comp)))):
+            if other != rows[row[j]]:
+                diff = (comp[m] for m, (u, v) in enumerate(zip(rows[row[j]], other)) if u != v)
+                failures.append(min(sorted((i, j, l)) for l in diff))
+    return itemgetter(*min(failures))(table.parts) if failures else None
 
 
 def hidden_symmetry_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | None:
     """hidden_symmetry_check for every ordered basis triple and every a, b in 0..n-1.
 
-    Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for every
-    class x and a, checked first (FormMismatch); then row (i, j) must equal the moved row of
-    (shift_a i, shift_b j).  Gives the first failing (lam, mu, nu, a, b) as parts tuples, or None.
+    Its degree half holds by the sizes once |shift_a(x)| - |x| = n*phi(x, a) - k*a for all x, a;
+    that is checked first, with shift_0 = id, shift_a o shift_1 = shift_(a+1) and comp o comp =
+    id (FormMismatch).  Moved rows then compose, so the generators (a, b) = (0, 1) and (1, 0)
+    give the first failing (lam, mu, nu, a, b) of a scan over every (a, b), or None.
     """
     table = basis_table(ctx)
     n, k, dim = ctx.n, ctx.k, len(table.parts)
@@ -209,20 +210,19 @@ def hidden_symmetry_sweep(ctx: GrassContext, ids: Ids, pool: Pool) -> tuple | No
     for x, a in product(range(dim), range(n)):
         if size[shift[x][a]] - size[x] != n * prefix[x][a] - k * a:
             raise FormMismatch(f"shifting {table.parts[x]} by {a} disagrees with phi")
-    # Entry m of a row moved by c is entry comp(shift_c(comp m)); 1 <= k < n gives N >= 2, so
-    # the gather returns a tuple, as the rows are.  moved[c][x] is the id of row x moved by c,
-    # or None when no row of the table equals it.
+        if (shift[x][0], comp[comp[x]], shift[shift[x][1]][a]) != (x, x, shift[x][(a + 1) % n]):
+            raise FormMismatch(f"shift or complement at {table.parts[x]} is not a group action")
+    # Row (i, j) must equal row (shift_a i, shift_b j) moved by c = n - 1: its entry m is entry
+    # comp(shift_c(comp m)); N >= 2 makes it a tuple.  moved[x]: the id of row x moved, or None.
     rows = list(pool)
-    gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
-    moved = [[pool.get(gather(row)) for row in rows] for gather in gathers]
-    for a, b in product(range(n), repeat=2):
-        c = (-a - b) % n
-        moves = moved[c]
+    gather = itemgetter(*[comp[shift[x][n - 1]] for x in comp])
+    moved = [pool.get(gather(row)) for row in rows]
+    for a, b in ((0, 1), (1, 0)):
         for i, base in enumerate(s[a] * dim for s in shift):
             for j in range(dim):
                 source = ids[base + shift[j][b]]
-                if moves[source] != ids[i * dim + j]:
-                    row0, row1 = rows[ids[i * dim + j]], gathers[c](rows[source])
+                if moved[source] != ids[i * dim + j]:
+                    row0, row1 = rows[ids[i * dim + j]], gather(rows[source])
                     l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
                     return (table.parts[i], table.parts[j], table.parts[l], a, b)
     return None
@@ -329,24 +329,24 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
     """The report of one scope: {check, status}, plus the counterexample of a failure.
 
     Every scope but the relation suite builds the product table once, and its checks read it,
-    giambelli through quantum_product.  Raises QGrassError for a scope outside SCOPES and,
-    naming the bound, when the work would exceed it or a toric or nil-TL walk passes its budget.
+    giambelli through quantum_product; the backend scopes walk every nil-TL operator first.
+    Raises QGrassError for a scope outside SCOPES and, naming the bound, when the work would
+    exceed it or a toric or nil-TL walk passes its budget.
     """
     if scope not in SCOPES:
         raise QGrassError(f"unknown scope {scope!r}")
     dim, n = binomial(ctx.n, ctx.k, MAX_CLASSES), ctx.n
     if dim > MAX_CLASSES:
         raise QGrassError(f"basis has C({n}, {ctx.k}) elements, above the cap {MAX_CLASSES}")
-    relations, sweeps = scope in ("relations", "all"), scope in ("symmetries", "all")
+    relations = scope in ("relations", "all")
     if relations and 2**n * dim > MAX_RELATION_WORK:
         raise QGrassError(
             f"relation suite: 2^n * N = {2**n * dim} is above the bound 2^20 = {MAX_RELATION_WORK}"
         )
-    if sweeps and dim**3 * n**2 > MAX_SWEEP_WORK:
-        raise QGrassError(
-            f"triple sweeps: N^3 * n^2 = {dim**3 * n**2} is above the bound 2^31 = {MAX_SWEEP_WORK}"
-        )
     report = verify_relations(ctx) if relations else []
+    if scope in ("backends", "all"):
+        for nu in enumerate_pkn(ctx):
+            schubert_op(nu, ctx)
     ids, pool = product_rows(ctx) if scope != "relations" else (None, None)
     for name, check in (c for suite, cs in SUITES.items() if scope in (suite, "all") for c in cs):
         witness = check(ctx, ids, pool)

@@ -1,5 +1,6 @@
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -258,20 +259,114 @@ def test_sweep_witnesses_fail_the_pointwise_checks(monkeypatch):
 
 
 def test_hidden_sweep_checks_the_shift_identity(monkeypatch):
-    # The degree half of the sweep rests on |shift_a(x)| - |x| = n*phi(x, a) - k*a;
-    # one wrong prefix statistic must raise rather than pass or name a triple.
+    # The degree half of the sweep rests on |shift_a(x)| - |x| = n*phi(x, a) - k*a, and its
+    # two generators decide every shift only when shift is a Z/n action and complement an
+    # involution.  One wrong prefix statistic, a shift moved to another class of the same size
+    # (which keeps the phi identity), or a complement sending two classes to one must each
+    # raise rather than pass or name a triple.
     ctx = GrassContext(2, 5)
     table = product_rows(ctx)
     real = verify.basis_table(ctx)
     phi = [list(row) for row in real.phi]
     phi[3][2] += 1
-    fake = SimpleNamespace(
-        parts=real.parts, size=real.size, complement=real.complement, shift=real.shift,
-        phi=tuple(tuple(row) for row in phi),
+    shift = [list(row) for row in real.shift]
+    x, a, y = next(
+        (x, a, y)
+        for x, a in product(range(len(shift)), range(2, ctx.n))
+        for y in range(len(shift))
+        if y != shift[x][a] and real.size[y] == real.size[shift[x][a]]
     )
-    monkeypatch.setattr(verify, "basis_table", lambda c: fake)
-    with pytest.raises(FormMismatch):
-        hidden_symmetry_sweep(ctx, *table)
+    shift[x][a] = y
+    fields = dict(
+        parts=real.parts, size=real.size, complement=real.complement, shift=real.shift,
+        phi=real.phi,
+    )
+    for change, message in (
+        ({"phi": tuple(tuple(row) for row in phi)}, "disagrees with phi"),
+        ({"shift": tuple(tuple(row) for row in shift)}, "not a group action"),
+        ({"complement": (real.complement[1],) + real.complement[1:]}, "not a group action"),
+    ):
+        fake = SimpleNamespace(**{**fields, **change})
+        monkeypatch.setattr(verify, "basis_table", lambda c, fake=fake: fake)
+        with pytest.raises(FormMismatch, match=message):
+            hidden_symmetry_sweep(ctx, *table)
+
+
+def full_s3_sweep(ctx, ids, pool):
+    """Reference: every order of every sorted triple against the triple itself."""
+    table = basis_table(ctx)
+    dim, comp = len(table.parts), table.complement
+    rows = list(pool)
+    full = [rows[x] for x in ids]
+    for i, j, l in combinations_with_replacement(range(dim), 3):
+        base = full[i * dim + j][comp[l]]
+        for x, y, z in permutations((i, j, l)):
+            if full[x * dim + y][comp[z]] != base:
+                return (table.parts[i], table.parts[j], table.parts[l])
+    return None
+
+
+def full_hidden_sweep(ctx, ids, pool):
+    """Reference: every shift (a, b) in (a, b) order, each with its own gather."""
+    table = basis_table(ctx)
+    n, dim = ctx.n, len(table.parts)
+    shift, comp = table.shift, table.complement
+    rows = list(pool)
+    gathers = [itemgetter(*[comp[shift[x][c]] for x in comp]) for c in range(n)]
+    moved = [[pool.get(gather(row)) for row in rows] for gather in gathers]
+    for a, b in product(range(n), repeat=2):
+        c = (-a - b) % n
+        moves = moved[c]
+        for i, base in enumerate(s[a] * dim for s in shift):
+            for j in range(dim):
+                source = ids[base + shift[j][b]]
+                if moves[source] != ids[i * dim + j]:
+                    row0, row1 = rows[ids[i * dim + j]], gathers[c](rows[source])
+                    l = next(l for l in range(dim) if row1[comp[l]] != row0[comp[l]])
+                    return (table.parts[i], table.parts[j], table.parts[l], a, b)
+    return None
+
+
+def test_generator_sweeps_match_the_full_scans():
+    # The generator sweeps give the full scans' first witness on 450 corrupted tables.  Each
+    # corruption adds one delta to entry l of row (i, j); to the same entry of rows (i, j)
+    # and (j, i), which keeps row (i, j) = row (j, i) and leaves the failure to the swap of
+    # the last two places; or to the orbit of the triple (i, j, comp l) under the shift
+    # (0, 1), which leaves the failure to the shift (1, 0).
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrassContext(k, n)
+            table = product_rows(ctx)
+            for sweep in (s3_symmetry_sweep, full_s3_sweep, hidden_symmetry_sweep,
+                          full_hidden_sweep):
+                assert sweep(ctx, *table) is None, (ctx, sweep)
+    rng = random.Random(33)
+    witnesses = []
+    for k, n in ((1, 4), (2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (1, 7), (2, 7), (3, 7), (5, 7)):
+        ctx = GrassContext(k, n)
+        ids, pool = product_rows(ctx)
+        shift, comp = basis_table(ctx).shift, basis_table(ctx).complement
+        dim, rows = len(comp), list(pool)
+        for trial in range(45):
+            i, j, l = (rng.randrange(dim) for _ in range(3))
+            cells = (
+                {(i * dim + j, l)},
+                {(i * dim + j, l), (j * dim + i, l)},
+                {(i * dim + shift[j][b], comp[shift[comp[l]][-b % n]]) for b in range(n)},
+            )[trial % 3]
+            bad_ids, bad_pool, delta = list(ids), dict(pool), rng.choice((-2, -1, 1, 3))
+            for p in {p for p, _ in cells}:
+                row = list(rows[ids[p]])
+                for m in (m for q, m in cells if q == p):
+                    row[m] += delta
+                bad_ids[p] = bad_pool.setdefault(tuple(row), len(bad_pool))
+            for sweep, full in ((s3_symmetry_sweep, full_s3_sweep),
+                                (hidden_symmetry_sweep, full_hidden_sweep)):
+                witness = full(ctx, bad_ids, bad_pool)
+                assert sweep(ctx, bad_ids, bad_pool) == witness, (ctx, trial, sweep)
+                witnesses.append(witness)
+    assert len(witnesses) == 900 and sum(w is not None for w in witnesses) >= 850
+    assert {w[3:] for w in witnesses if w is not None and len(w) == 5} == {(0, 1), (1, 0)}
 
 
 def test_product_rows_transpose_duality():
