@@ -19,8 +19,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement
-from typing import Iterable, Sequence
+from itertools import chain, combinations_with_replacement
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, QGrassError
 from .partitions import (
@@ -37,9 +37,9 @@ from .partitions import (
     require_partitions,
 )
 
-# The work one _schubert_walk or eh_op may do, in word actions and multiply-adds.
+# The work one _schubert_walk, e/h sum or word may do, in letter steps and multiply-adds.
 NILTL_BUDGET = 2**24
-NILTL_REFUSAL = "niltl walk: over the budget of {} word actions and multiply-adds"
+NILTL_REFUSAL = "niltl walk: over the budget of {} letter steps and multiply-adds"
 
 
 class LaurentPoly:
@@ -210,36 +210,55 @@ class NilTLOperator:
         )
 
 
-def _word_action(ctx: GrassContext, words: Sequence[Sequence[int]], degree: int) -> NilTLOperator:
-    """Sum of the operators of generator words, applied to every basis 01-word.
+def _letter_paths(ctx: GrassContext, programs: list, degree: int, meter: Meter) -> NilTLOperator:
+    """Sum of the words of every program (letters, t) on every basis 01-word (an int, slot g
+    its bit g - 1): each letter (g, False) and exactly t letters (g, True), in order.
 
-    Letter i moves the 1 in slot i to slot i+1 (cyclically); a word dies
-    when slot i holds 0 or slot i+1 holds 1.  Each surviving word adds 1 at
-    (image, column).  A 01-word is an int, slot i its bit i - 1, so a letter
-    costs O(1); row r + 1 of p holds its 1 at bit p_r + k - 1 - r.
+    Row r + 1 of p holds its 1 at bit p_r + k - 1 - r.  Letter g moves the 1 in slot g to
+    slot g+1 (cyclically), or the word dies (slot g holds 0 or slot g+1 holds 1).  layers[u]
+    counts the paths that took u optional letters as {(col, mask): count}.  The meter is charged
+    k per class for the mask index and one per state read; before anything is built, it must
+    hold the reads of layer 0 while that still holds every class.
     """
     n, k = ctx.n, ctx.k
-    bad = [g for word in words for g in word if not 1 <= g <= n]
-    if bad:
-        raise IndexOutOfRange(f"generator index {bad[0]} outside 1..{n}")
+    dim, certain = binomial(n, k, max(meter.left, 0)), 0
+    for letters, t in programs:
+        for _, optional, reads in _layer_reads(letters, t):
+            certain += dim if 0 in reads else 0
+            if not optional:
+                break
+    meter.check(k * dim + certain)
+    meter.left += certain  # tested only: the reads charge it as they are made
     index = {
         sum(1 << (v + k - 1 - r) for r, v in enumerate(p)) | (1 << (k - len(p))) - 1: col
         for col, p in enumerate(basis_table(ctx).parts)
     }
-    moves = {g: (1 << (g - 1), 1 << (g % n)) for g in range(1, n + 1)}
-    rows: list[dict[int, int]] = [{} for _ in range(ctx.num_classes)]
-    for start, col in index.items():
-        for word in words:
-            mask = start
-            for g in word:
-                src, dst = moves[g]
-                if not mask & src or mask & dst:
-                    break
-                mask ^= src | dst
-            else:
-                row = rows[index[mask]]
-                row[col] = row.get(col, 0) + 1
+    rows: list[dict[int, int]] = [{} for _ in range(dim)]
+    for letters, t in programs:
+        layers = [{(col, mask): 1 for mask, col in index.items()}] + [{} for _ in range(t)]
+        for g, optional, reads in _layer_reads(letters, t):
+            meter.check(sum(len(layers[u]) for u in reads))
+            src, dst = 1 << (g - 1), 1 << (g % n)
+            for u in reversed(reads):  # an optional letter moves a path from u to u + 1
+                out = layers[u + 1] if optional else {}
+                for (col, mask), c in layers[u].items():
+                    if mask & src and not mask & dst:
+                        key = (col, mask ^ src ^ dst)
+                        out[key] = out.get(key, 0) + c
+                if not optional:
+                    layers[u] = out
+        for (col, mask), c in layers[t].items():
+            row = rows[index[mask]]
+            row[col] = row.get(col, 0) + c
     return NilTLOperator._wrap(ctx, tuple(rows), degree)  # counts of words: none is 0
+
+
+def _layer_reads(letters: list, t: int) -> Iterator[tuple[int, bool, range]]:
+    """(g, optional, the layers letter g reads: those that can still reach t) per letter."""
+    left = sum(optional for _, optional in letters)
+    for g, optional in letters:
+        left -= optional
+        yield g, optional, range(max(0, t - left - optional), t + 1 - optional)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -250,40 +269,45 @@ def generator_op(i: int, ctx: GrassContext) -> NilTLOperator:
     removes n-1 boxes, carries the factor q.  The memo is typed, so True is
     refused even once 1 is cached.
     """
-    require_int(i, "generator index")
-    return _word_action(ctx, [(i,)], 1)
+    return word_operator(ctx, (i,))
 
 
 def word_operator(ctx: GrassContext, word: Iterable[int]) -> NilTLOperator:
-    """Operator of a generator word; the first letter acts first."""
+    """Operator of a generator word; the first letter acts first.  Under NILTL_BUDGET."""
     word = tuple(word)
-    return _word_action(ctx, [word], len(word))
+    for g in word:
+        require_int(g, "generator index")
+        if not 1 <= g <= ctx.n:
+            raise IndexOutOfRange(f"generator index {g} outside 1..{ctx.n}")
+    meter = Meter(NILTL_BUDGET, NILTL_REFUSAL)
+    return _letter_paths(ctx, [([(g, False) for g in word], 0)], len(word), meter)
 
 
 @lru_cache(maxsize=None, typed=True)
-def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
-    """Noncommutative elementary (e) or complete homogeneous (h) sum of words.
+def _eh_sum(kind: str, r: int, ctx: GrassContext) -> tuple[NilTLOperator, int]:
+    """The noncommutative e_r or h_r and the work of its letter DP, under NILTL_BUDGET.
 
-    Sum over r-subsets of the cyclic index set.  Read cyclically from just
-    after a missing index, a subset is its h word: each maximal run comes
-    out bottom-up, and runs are flanked by non-members, so letters of
-    different runs commute.  The e word is the h word reversed.
-    QGrassError before any word is built when its C(n, r) words on N classes pass
-    NILTL_BUDGET, read at call time.
+    Read from g, the least index an r-subset misses, its h word is its letters g+1..n in
+    increasing order, then 1..g-1 (each maximal run bottom-up; runs commute); the e word is
+    the reverse.  So one program per g takes r - g + 1 of g+1..n.  The memo is typed, so
+    True is refused even once 1 is cached.
     """
     if kind not in ("e", "h"):
         raise QGrassError(f"kind must be 'e' or 'h', got {kind!r}")
     require_int(r, "index")
     if not 1 <= r <= ctx.n - 1:
         raise IndexOutOfRange(f"index {r} outside 1..{ctx.n - 1}")
-    budget = NILTL_BUDGET
-    Meter(budget, NILTL_REFUSAL).check(binomial(ctx.n, r, budget) * binomial(ctx.n, ctx.k, budget))
-    words = []
-    for subset in combinations(range(1, ctx.n + 1), r):
-        gap = min(set(range(1, ctx.n + 1)).difference(subset))
-        word = sorted(subset, key=lambda i: (i - gap) % ctx.n)
-        words.append(word[::-1] if kind == "e" else word)
-    return _word_action(ctx, words, r)
+    programs = []
+    for g in range(1, r + 2):
+        letters = [(i, True) for i in range(g + 1, ctx.n + 1)] + [(i, False) for i in range(1, g)]
+        programs.append((letters if kind == "h" else letters[::-1], r - g + 1))
+    meter = Meter(NILTL_BUDGET, NILTL_REFUSAL)
+    return _letter_paths(ctx, programs, r, meter), NILTL_BUDGET - meter.left
+
+
+def eh_op(kind: str, r: int, ctx: GrassContext) -> NilTLOperator:
+    """The e or h sum of degree r; QGrassError once its letter DP passes NILTL_BUDGET."""
+    return _eh_sum(kind, r, ctx)[0]
 
 
 def z_op(l: int, ctx: GrassContext) -> NilTLOperator:
@@ -304,15 +328,12 @@ def _schubert_walk(
     have parts at most nu_i, so they start at column i + 1 - nu_i or right of it: rows
     1..i leave no column up to i - nu_i free.  Row 1 reads nu_2 there instead, which the
     walk fixes, so a one-row nu takes column 1 alone and builds h_(nu_1) only.
-    QGrassError once the work passes NILTL_BUDGET, read at call time: C(n, c) words on N
-    classes per h_c before eh_op runs, row 1's (c in first; h_0 is one word) and k per class
-    for the basis 01-words and mask index that _word_action builds before any operator is
-    built, and the multiply-adds of each product before it is formed.
+    QGrassError once the work passes NILTL_BUDGET, read at call time: each h_c's DP work,
+    memoized or not, N for the identity start (None until nu = () needs it), and the
+    multiply-adds of each product before it is formed.
     """
     k, budget = ctx.k, NILTL_BUDGET
-    meter = Meter(budget, NILTL_REFUSAL)
-    dim, held, first = binomial(ctx.n, k, budget), {}, range(top, top + (k if second else 1))
-    meter.check((k + sum(binomial(ctx.n, c, budget) for c in first)) * dim)
+    meter, held = Meter(budget, NILTL_REFUSAL), {}
 
     def row(nu, i):
         v = nu[i - 1]
@@ -322,11 +343,16 @@ def _schubert_walk(
             c = v + j - i
             if c:
                 if c not in held:
-                    meter.check(0 if c in first else binomial(ctx.n, c, budget) * dim)
-                    held[c] = Counter(chain.from_iterable(eh_op("h", c, ctx).rows)).items()
+                    h, work = _eh_sum("h", c, ctx)
+                    meter.check(work)
+                    held[c] = h, Counter(chain.from_iterable(h.rows)).items()
+                h, columns = held[c]
                 # O(N): h_c's rows that hold column l, times the length of op's row l
-                meter.check(sum(rows * len(op.rows[l]) for l, rows in held[c]))
-                op = eh_op("h", c, ctx) @ op
+                meter.check(0 if op is None else sum(rows * len(op.rows[l]) for l, rows in columns))
+                op = h if op is None else h @ op
+            elif op is None:
+                meter.check(binomial(ctx.n, k, budget))
+                op = NilTLOperator.identity(ctx)
             return op if sign == 1 else op.scaled(-1)
 
         return range(max(1, i - v), k + 1), need, entry
@@ -335,7 +361,7 @@ def _schubert_walk(
     nus = ((top, second, *tail)[:k] for tail in tails)
     return {
         tuple(p for p in nu if p): NilTLOperator.zero(ctx) if det is None else det
-        for nu, det in masked_walk(nus, NilTLOperator.identity(ctx), row, operator.add)
+        for nu, det in masked_walk(nus, None, row, operator.add)
     }
 
 

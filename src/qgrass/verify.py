@@ -3,8 +3,8 @@
 The product table is N^2 integer row ids and the one dict that interns its rows: equal
 rows have one id, and the dict's keys, in insertion order, are the distinct rows.  Every
 check maps a context and the table to None when its identity holds on every item, and
-otherwise to its first counterexample, built from parts tuples and ints.  The work of a
-run is bounded from (k, n) before any of it is done; each toric and nil-TL walk meters its own.
+otherwise to its first counterexample, built from parts tuples and ints.  N and the relation
+suite are bounded from (k, n) before any work; each toric and nil-TL walk meters its own.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .symmetry import dmin_dmax
 
 # Bounds the basis size N.
 MAX_CLASSES = 500
-# Bounds the relation suite: eh_op applies all 2^n - 2 cyclic words to N classes.
+# Bounds the relation suite, about n^2 products of N-row operators, by n^2 * N.
 MAX_RELATION_WORK = 2**20
 
 Ids = list[int]
@@ -339,9 +339,9 @@ def run(ctx: GrassContext, scope: str) -> list[dict]:
     if dim > MAX_CLASSES:
         raise QGrassError(f"basis has C({n}, {ctx.k}) elements, above the cap {MAX_CLASSES}")
     relations = scope in ("relations", "all")
-    if relations and 2**n * dim > MAX_RELATION_WORK:
+    if relations and n * n * dim > MAX_RELATION_WORK:
         raise QGrassError(
-            f"relation suite: 2^n * N = {2**n * dim} is above the bound 2^20 = {MAX_RELATION_WORK}"
+            f"relation suite: n^2 * N = {n * n * dim} is above the bound 2^20 = {MAX_RELATION_WORK}"
         )
     report = verify_relations(ctx) if relations else []
     if scope in ("backends", "all"):

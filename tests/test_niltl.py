@@ -124,10 +124,37 @@ def _cyclic_runs(subset, n):
     return runs
 
 
+def _word_sum(kind, r, ctx):
+    """e_r or h_r as rows {col: count}: the run word of every r-subset applied to every 01-word.
+
+    A 01-word is an int, slot i its bit i - 1.
+    """
+    n = ctx.n
+    index = {
+        sum(b << i for i, b in enumerate(to_word01(lam, ctx).bits)): col
+        for col, lam in enumerate(enumerate_pkn(ctx))
+    }
+    rows = [{} for _ in index]
+    for subset in combinations(range(1, n + 1), r):
+        gap = min(set(range(1, n + 1)).difference(subset))
+        word = sorted(subset, key=lambda i: (i - gap) % n)
+        for start, col in index.items():
+            mask = start
+            for g in word[::-1] if kind == "e" else word:
+                src, dst = 1 << (g - 1), 1 << (g % n)
+                if not mask & src or mask & dst:
+                    break
+                mask ^= src | dst
+            else:
+                rows[index[mask]][col] = rows[index[mask]].get(col, 0) + 1
+    return rows
+
+
 def test_eh_ops_match_run_words():
     # e_r and h_r as sums of run words: within a run the letters act top-down
-    # for e and bottom-up for h, composed as Laurent-polynomial matrices
-    for ctx in (C24, GrassContext(2, 5), GrassContext(3, 6)):
+    # for e and bottom-up for h, composed as Laurent-polynomial matrices for n <= 6, and
+    # applied to the 01-words, one word at a time, for n <= 10
+    for ctx in (GrassContext(k, n) for n in range(2, 7) for k in range(1, n)):
         gens = _laurent_generators(ctx)
         dim = ctx.num_classes
         for kind in ("e", "h"):
@@ -150,14 +177,21 @@ def test_eh_ops_match_run_words():
                     for j in range(dim):
                         want = ref[i].get(j, LaurentPoly())
                         assert op.entry(i, j) == want, (kind, r, i, j)
+    for ctx in (GrassContext(k, n) for n in range(2, 11) for k in range(1, n)):
+        for kind in ("e", "h"):
+            for r in range(1, ctx.n):
+                op = eh_op(kind, r, ctx)
+                assert (op.rows, op.degree) == (tuple(_word_sum(kind, r, ctx)), r), (kind, ctx, r)
 
 
 def test_word_operator_rejects_letters_outside_range():
+    # A letter that is no int is refused as such (QGrassError), not read as an index.
     for ctx in (C24, GrassContext(2, 5)):
-        for letter in (0, ctx.n + 1):
-            with pytest.raises(IndexOutOfRange):
+        cases = ((0, IndexOutOfRange), (ctx.n + 1, IndexOutOfRange), (1.5, QGrassError))
+        for letter, error in cases:
+            with pytest.raises(error):
                 word_operator(ctx, (letter,))
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(error):
                 word_operator(ctx, (1, letter))
 
 
@@ -299,13 +333,13 @@ def test_schubert_walk_asks_for_no_h_past_its_first_row(monkeypatch):
     # for more.  A cold query builds the walk of its (nu_1, nu_2) and asks for no h_c above
     # top = min(n - 1, nu_1 + (k - 1 if nu_2 else 0)).
     asked = []
-    real = niltl.eh_op
+    real = niltl._eh_sum
 
     def recorder(kind, r, ctx):
         asked.append((kind, r))
         return real(kind, r, ctx)
 
-    monkeypatch.setattr(niltl, "eh_op", recorder)
+    monkeypatch.setattr(niltl, "_eh_sum", recorder)
     for n in range(2, 9):
         for k in range(1, n):
             ctx = GrassContext(k, n)
@@ -315,29 +349,52 @@ def test_schubert_walk_asks_for_no_h_past_its_first_row(monkeypatch):
                 asked.clear()
                 schubert_op(nu, ctx)
                 top = min(n - 1, nu.part(1) + (k - 1 if nu.part(2) else 0))
+                assert asked or not nu.size, (k, n, nu)
                 assert all(kind == "h" and r <= top for kind, r in asked), (k, n, nu, asked)
 
 
 def test_a_refused_walk_stores_no_operator(monkeypatch):
-    # The walk of sigma_11 in Gr(3,6) asks for h_1, h_2 and h_3 in row 1: 6 + 15 + 20 words
-    # on 20 classes, plus k = 3 per class for the basis 01-words, 880, charged before any
-    # operator is built.  Its products add 308.
+    # The walk of sigma_11 in Gr(3,6) asks for h_1, h_2 and h_3 in row 1.  The letter DP of
+    # h_1 costs 180: k = 3 per class for the mask index, and its 20 classes read 6 times, by
+    # the letters 2..6 that may still be taken when g = 1 and by the forced letter 1 when
+    # g = 2, all charged before the DP builds anything.  h_2 and h_3 add 330 and 407, and the
+    # products 216: 1133 in all.
     # Refused before, part way or at its last product, the walk leaves no memo entry; at
-    # its exact cost, or the full budget, it answers as bcf does.
+    # its exact cost, or the full budget, it answers as bcf does.  The e/h memo changes no
+    # charge: once it holds h_1 .. h_3, the same budgets refuse the walk.
     ctx, one, two = GrassContext(3, 6), Partition((1,)), Partition((1, 1))
-    niltl._schubert_walk.cache_clear()
-    niltl._schubert_op.cache_clear()
-    real, built = niltl.eh_op, []
-    monkeypatch.setattr(niltl, "eh_op", lambda *args: built.append(args) or real(*args))
-    for budget in (0, 879, 880, 1187):
+    real, built = niltl._eh_sum, []
+
+    def recorder(*args):
+        op = real(*args)
+        built.append(args)
+        return op
+
+    def refused(budget):
+        niltl._schubert_walk.cache_clear()
+        niltl._schubert_op.cache_clear()
         monkeypatch.setattr(niltl, "NILTL_BUDGET", budget)
         with pytest.raises(QGrassError, match=f"niltl walk: over the budget of {budget} "):
             gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl")
-        assert bool(built) == (budget >= 880), budget
-        assert niltl._schubert_walk.cache_info().currsize == 0
-        assert niltl._schubert_op.cache_info().currsize == 0
-    monkeypatch.setattr(niltl, "NILTL_BUDGET", 1188)
+        return niltl._schubert_walk.cache_info().currsize + niltl._schubert_op.cache_info().currsize
+
+    monkeypatch.setattr(niltl, "_eh_sum", recorder)
+    real.cache_clear()
+    for budget in (0, 179, 180, 1132):
+        assert refused(budget) == 0, budget
+        assert bool(built) == (budget >= 180), budget
+    assert real.cache_info().currsize == 3
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 1133)
     assert gw_invariant(one, two, Partition((2, 1)), 0, ctx, "niltl") == 1
+    assert [refused(budget) for budget in (0, 179, 180, 1132)] == [0] * 4
+    # nu = () starts from the identity, N = 20 rows.
+    niltl._schubert_walk.cache_clear()
+    niltl._schubert_op.cache_clear()
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 19)
+    with pytest.raises(QGrassError, match="niltl walk: over the budget of 19 "):
+        schubert_op(Partition(()), ctx)
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 20)
+    assert schubert_op(Partition(()), ctx) == NilTLOperator.identity(ctx)
     niltl._schubert_walk.cache_clear()
     niltl._schubert_op.cache_clear()
     monkeypatch.undo()
@@ -348,21 +405,24 @@ def test_a_refused_walk_stores_no_operator(monkeypatch):
 
 
 def test_eh_op_refuses_past_the_budget(monkeypatch):
-    # h_12 of Gr(1,24) is C(24, 12) words on 24 classes, about 65M word actions: refused
-    # before any word is built.  h_3 of Gr(3,6) is 20 words on 20 classes: admitted at a
-    # budget of 400, refused at 399, and a refusal stores nothing.
+    # h_1 of Gr(11,22) charges 11 per class for the mask index and 22 reads of its 705,432
+    # classes, the letters 2..22 when g = 1 and the letter 1 when g = 2: over 2^24, refused
+    # before anything is built.  h_12 of Gr(1,24), C(24, 12) words, is admitted.  h_3 of
+    # Gr(3,6) costs 407: admitted at a budget of 407, refused at 406, and a refusal stores
+    # nothing.
     started = time.perf_counter()
     with pytest.raises(QGrassError, match=f"over the budget of {niltl.NILTL_BUDGET} "):
-        eh_op("h", 12, GrassContext(1, 24))
+        eh_op("h", 1, GrassContext(11, 22))
     assert time.perf_counter() - started < 1.0
+    assert eh_op("h", 12, GrassContext(1, 24)).degree == 12
     ctx = GrassContext(3, 6)
     want = eh_op("h", 3, ctx)
-    eh_op.cache_clear()
-    monkeypatch.setattr(niltl, "NILTL_BUDGET", 399)
-    with pytest.raises(QGrassError, match="niltl walk: over the budget of 399 "):
+    niltl._eh_sum.cache_clear()
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 406)
+    with pytest.raises(QGrassError, match="niltl walk: over the budget of 406 "):
         eh_op("h", 3, ctx)
-    assert eh_op.cache_info().currsize == 0
-    monkeypatch.setattr(niltl, "NILTL_BUDGET", 400)
+    assert niltl._eh_sum.cache_info().currsize == 0
+    monkeypatch.setattr(niltl, "NILTL_BUDGET", 407)
     assert eh_op("h", 3, ctx) == want
 
 

@@ -516,6 +516,7 @@ INT_ARGUMENTS = {
     "CylindricShape": lambda: qgrass.CylindricShape(ONE, 0, ONE, C24, shift=0.5),
     "quantum_pieri": lambda: qgrass.quantum_pieri("h", 1.0, ONE, C24),
     "generator_op": lambda: qgrass.generator_op(True, C24),
+    "word_operator": lambda: qgrass.word_operator(C24, (1, True)),
     "eh_op": lambda: qgrass.eh_op("h", True, C24),
     "z_op": lambda: qgrass.z_op(True, C24),
 }
